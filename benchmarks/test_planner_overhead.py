@@ -6,13 +6,15 @@ defeats that on the hot path.  These guards assert -- via the heap's logical
 page-read counter, which counts even accounting-free reads -- that
 ``Planner.candidate_plans`` and ``Planner.choose`` perform zero heap page
 reads, including right after inserts and deletes invalidate the cached
-statistics.
+statistics -- and that the re-derived selectivities come from compiled count
+kernels over the sample's column vectors, never from per-row
+``Predicate.matches`` calls.
 """
 
 import pytest
 
 from repro.bench.harness import ExperimentScale, build_ebay_database
-from repro.engine.predicates import Between, Equals, InSet
+from repro.engine.predicates import Between, Equals, ExpressionPredicate, InSet, Predicate
 from repro.engine.query import Query
 
 
@@ -32,6 +34,23 @@ QUERIES = [
     Query.select("items", Equals("cat2", "group4")),
     Query.select("items", Between("price", 0, 9_000)),
 ]
+
+
+@pytest.fixture()
+def matches_calls(monkeypatch):
+    """A list that grows by one on every ``Predicate.matches`` call."""
+    calls = []
+    for cls in (Predicate, *Predicate.__subclasses__()):
+        original = cls.__dict__.get("matches")
+        if original is None:
+            continue
+
+        def counted(self, row, _original=original):
+            calls.append(self)
+            return _original(self, row)
+
+        monkeypatch.setattr(cls, "matches", counted)
+    return calls
 
 
 def heap_reads(db):
@@ -62,9 +81,15 @@ def test_planning_performs_zero_heap_page_reads(planner_database):
     assert db.disk.window_since(before_io).pages_read == 0
 
 
-def test_planning_after_updates_stays_off_the_heap(planner_database):
+def test_planning_after_updates_stays_off_the_heap(planner_database, matches_calls):
     """Inserts/deletes invalidate cached statistics; replanning must still be
-    served from the incrementally-maintained sample, not a heap scan."""
+    served from the incrementally-maintained sample, not a heap scan, and
+    without evaluating any predicate row by row."""
+    assert not any(
+        isinstance(predicate, ExpressionPredicate)
+        for query in QUERIES
+        for predicate in query.predicates
+    )
     db, rows = planner_database
     table = db.table("items")
     template = dict(rows[0])
@@ -76,9 +101,11 @@ def test_planning_after_updates_stays_off_the_heap(planner_database):
     before = heap_reads(db)
     plan_everything(db)
     assert heap_reads(db) == before
+    assert matches_calls == []
 
     for rid in inserted[:5]:
         table.delete_row(rid, charge_io=False)
     before = heap_reads(db)
     plan_everything(db)
     assert heap_reads(db) == before
+    assert matches_calls == []

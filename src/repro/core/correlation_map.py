@@ -117,6 +117,11 @@ class CorrelationMap:
         #: key tuple -> {clustered target -> co-occurrence count}
         self._mapping: dict[tuple[Any, ...], dict[Any, int]] = {}
         self._total_rows = 0
+        #: ``total_entries`` and ``size_bytes()``, kept up to date by
+        #: :meth:`insert` / :meth:`delete` so the planner's per-query size
+        #: reads do not walk every key.
+        self._total_entries = 0
+        self._size_bytes = 0
 
     # -- derivation of keys and targets ---------------------------------------
 
@@ -147,8 +152,15 @@ class CorrelationMap:
         """Maintain the CM for one inserted tuple."""
         key = self.key_of(row)
         target = self.target_of(row)
-        targets = self._mapping.setdefault(key, {})
-        targets[target] = targets.get(target, 0) + 1
+        targets = self._mapping.get(key)
+        if targets is None:
+            targets = self._mapping[key] = {}
+            self._size_bytes += _value_bytes(key) + _KEY_OVERHEAD_BYTES
+        count = targets.get(target, 0)
+        if not count:
+            self._total_entries += 1
+            self._size_bytes += _TARGET_BYTES + _COUNT_BYTES
+        targets[target] = count + 1
         self._total_rows += 1
 
     def delete(self, row: Mapping[str, Any]) -> bool:
@@ -166,8 +178,11 @@ class CorrelationMap:
         targets[target] -= 1
         if targets[target] <= 0:
             del targets[target]
+            self._total_entries -= 1
+            self._size_bytes -= _TARGET_BYTES + _COUNT_BYTES
         if not targets:
             del self._mapping[key]
+            self._size_bytes -= _value_bytes(key) + _KEY_OVERHEAD_BYTES
         self._total_rows -= 1
         return True
 
@@ -243,19 +258,19 @@ class CorrelationMap:
     @property
     def total_entries(self) -> int:
         """Number of (key, clustered target) pairs stored."""
-        return sum(len(targets) for targets in self._mapping.values())
+        return self._total_entries
 
     @property
     def total_rows_represented(self) -> int:
         return self._total_rows
 
     def size_bytes(self) -> int:
-        """Approximate in-memory / on-disk size of the CM."""
-        size = 0
-        for key, targets in self._mapping.items():
-            size += _value_bytes(key) + _KEY_OVERHEAD_BYTES
-            size += len(targets) * (_TARGET_BYTES + _COUNT_BYTES)
-        return size
+        """Approximate in-memory / on-disk size of the CM.
+
+        Each stored key costs its value bytes plus a fixed overhead, and each
+        (key, target) entry a target and a count.
+        """
+        return self._size_bytes
 
     def size_pages(self, page_size_bytes: int = 8192) -> int:
         return max(1, -(-self.size_bytes() // page_size_bytes))

@@ -18,7 +18,8 @@ either exactly (one pass over the rows) or from estimators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from repro.core.bucketing import IdentityBucketer
 from repro.core.composite import CompositeKeySpec
@@ -26,6 +27,21 @@ from repro.core.model import CorrelationProfile
 from repro.sampling.adaptive import adaptive_estimate
 from repro.sampling.distinct import DistinctSampler
 from repro.sampling.reservoir import ReservoirSampler
+
+
+#: A compiled selectivity counter: the columns it reads (attribute names, or
+#: ``None`` for the rows themselves) and a function taking one sequence per
+#: column that returns how many positions match.
+CountKernel = tuple[tuple[str | None, ...], Callable[[Sequence[Sequence[Any]]], int]]
+
+
+class CountablePredicates(Protocol):
+    """A conjunction :meth:`IncrementalTableStatistics.match_fraction` can
+    count: its hashable terms (the memo key) and a compiled count kernel."""
+
+    def __iter__(self) -> Iterator[Hashable]: ...
+
+    def count_kernel(self) -> CountKernel: ...
 
 
 def c_per_u_from_cardinalities(distinct_uc: float, distinct_u: float) -> float:
@@ -81,22 +97,9 @@ class StatisticsCollector:
         """Exact Table 2 statistics for the pair (Au, Ac)."""
         u_spec = self._as_spec(unclustered)
         c_spec = self._as_spec(clustered)
-        u_values = set()
-        c_values = set()
-        uc_values = set()
-        for row in self._rows:
-            u_key = u_spec.key_of(row)
-            c_key = c_spec.key_of(row)
-            u_values.add(u_key)
-            c_values.add(c_key)
-            uc_values.add((u_key, c_key))
-        total = len(self._rows)
-        if not u_values or not c_values:
-            return CorrelationProfile(c_per_u=0.0, c_tups=0.0, u_tups=0.0)
-        return CorrelationProfile(
-            c_per_u=c_per_u_from_cardinalities(len(uc_values), len(u_values)),
-            c_tups=total / len(c_values),
-            u_tups=total / len(u_values),
+        return exact_profile_of_keys(
+            [u_spec.key_of(row) for row in self._rows],
+            [c_spec.key_of(row) for row in self._rows],
         )
 
     # -- estimated statistics -----------------------------------------------------
@@ -140,21 +143,10 @@ class StatisticsCollector:
         c_spec = self._as_spec(clustered)
         if sample is None:
             sample = self.collect_sample(sample_size=sample_size, seed=seed)
-        if not sample:
-            return CorrelationProfile(c_per_u=0.0, c_tups=0.0, u_tups=0.0)
-        total = max(total_rows or len(self._rows), len(sample))
-        u_keys = [u_spec.key_of(row) for row in sample]
-        c_keys = [c_spec.key_of(row) for row in sample]
-        uc_keys = list(zip(u_keys, c_keys))
-        d_u = adaptive_estimate(u_keys, total)
-        d_c = adaptive_estimate(c_keys, total)
-        d_uc = adaptive_estimate(uc_keys, total)
-        # A pair cannot be rarer than either of its parts.
-        d_uc = max(d_uc, d_u, d_c)
-        return CorrelationProfile(
-            c_per_u=c_per_u_from_cardinalities(d_uc, d_u),
-            c_tups=total / max(d_c, 1.0),
-            u_tups=total / max(d_u, 1.0),
+        return estimated_profile_of_keys(
+            [u_spec.key_of(row) for row in sample],
+            [c_spec.key_of(row) for row in sample],
+            total_rows or len(self._rows),
         )
 
     # -- helpers ---------------------------------------------------------------------
@@ -164,6 +156,45 @@ class StatisticsCollector:
         if isinstance(key, CompositeKeySpec):
             return key
         return CompositeKeySpec.build([key])
+
+
+def exact_profile_of_keys(
+    u_keys: Sequence[Hashable], c_keys: Sequence[Hashable]
+) -> CorrelationProfile:
+    """Exact Table 2 statistics from the rows' ``Au`` and ``Ac`` keys.
+
+    ``u_keys[i]`` and ``c_keys[i]`` are row ``i``'s keys; a key may be a
+    bare value or any tuple holding it -- only which keys are equal counts.
+    """
+    total = len(u_keys)
+    if not total:
+        return CorrelationProfile(c_per_u=0.0, c_tups=0.0, u_tups=0.0)
+    distinct_u = len(set(u_keys))
+    return CorrelationProfile(
+        c_per_u=c_per_u_from_cardinalities(len(set(zip(u_keys, c_keys))), distinct_u),
+        c_tups=total / len(set(c_keys)),
+        u_tups=total / distinct_u,
+    )
+
+
+def estimated_profile_of_keys(
+    u_keys: Sequence[Hashable], c_keys: Sequence[Hashable], total_rows: int
+) -> CorrelationProfile:
+    """Table 2 statistics estimated with the Adaptive Estimator from the
+    ``Au`` and ``Ac`` keys of a sample of ``total_rows`` rows."""
+    if not u_keys:
+        return CorrelationProfile(c_per_u=0.0, c_tups=0.0, u_tups=0.0)
+    total = max(total_rows, len(u_keys))
+    d_u = adaptive_estimate(u_keys, total)
+    d_c = adaptive_estimate(c_keys, total)
+    d_uc = adaptive_estimate(list(zip(u_keys, c_keys)), total)
+    # A pair cannot be rarer than either of its parts.
+    d_uc = max(d_uc, d_u, d_c)
+    return CorrelationProfile(
+        c_per_u=c_per_u_from_cardinalities(d_uc, d_u),
+        c_tups=total / max(d_c, 1.0),
+        u_tups=total / max(d_u, 1.0),
+    )
 
 
 #: Default reservoir capacity for incremental table statistics.  Large enough
@@ -245,6 +276,14 @@ class IncrementalTableStatistics:
         self._profile_cache: dict[tuple, CorrelationProfile] = {}
         self._cardinality_cache: dict[tuple, int] = {}
         self._selectivity_cache: dict[Any, float] = {}
+        #: Attribute -> its values over the reservoir, in reservoir order.
+        #: Tuples, not lists: the collector untracks a tuple of atomic
+        #: values, so full collections do not re-walk every vector.
+        self._columns: dict[str, tuple[Any, ...]] = {}
+        #: Set by every insert/delete.  The next :meth:`_column` call drops
+        #: the stale vectors, so freeing them (milliseconds for 80k-row
+        #: vectors) is paid by the next plan, not by the write.
+        self._columns_stale = False
 
     # -- maintenance ------------------------------------------------------------
 
@@ -310,7 +349,7 @@ class IncrementalTableStatistics:
         untracked.
         """
         self._minmax = {}
-        for row in self._reservoir.sample:
+        for row in self._reservoir.view:
             for attribute, value in row.items():
                 self._observe_value(attribute, value)
         self._deletes_since_bounds_rebuild = 0
@@ -352,6 +391,7 @@ class IncrementalTableStatistics:
         self._profile_cache.clear()
         self._cardinality_cache.clear()
         self._selectivity_cache.clear()
+        self._columns_stale = True
 
     # -- views ------------------------------------------------------------------
 
@@ -372,38 +412,69 @@ class IncrementalTableStatistics:
         """Incrementally-maintained ``(min, max)``; ``None`` when unknown."""
         return self._minmax.get(attribute)
 
-    def match_fraction(
-        self,
-        matches: "Callable[[Mapping[str, Any]], bool]",
-        *,
-        key: Any = None,
-    ) -> float:
-        """Fraction of live rows satisfying ``matches``, from the sample.
+    def match_fraction(self, predicates: CountablePredicates) -> float:
+        """Fraction of live rows satisfying every predicate, from the sample.
 
         The reservoir is a uniform sample of the live rows, so the sample
         match rate is an unbiased selectivity estimate (exact while the
-        sample is complete).  ``matches`` is a plain callable -- typically
-        ``PredicateSet.matches`` -- so this layer stays independent of the
-        engine's predicate types.  An empty table estimates 0.0.
+        sample is complete).  The predicates' compiled count kernel runs over
+        the sample's column vectors (:meth:`_column`), which this layer
+        builds without knowing the engine's predicate types.  An empty table
+        estimates 0.0; an empty conjunction 1.0, with nothing compiled.
 
-        ``key``, when hashable, memoises the result until the next insert or
-        delete, like the sibling cardinality/profile caches -- replanning an
-        unchanged query then skips the sample sweep entirely.
+        The result is memoised under the predicates' terms, when hashable,
+        until the next insert or delete -- replanning an unchanged query
+        then skips the sweep entirely.
         """
-        if key is not None:
-            try:
-                return self._selectivity_cache[key]
-            except KeyError:
-                pass
-            except TypeError:
-                key = None
-        rows = self._reservoir.sample
-        fraction = (
-            sum(1 for row in rows if matches(row)) / len(rows) if rows else 0.0
-        )
+        terms = tuple(predicates)
+        key: tuple[Hashable, ...] | None = terms
+        try:
+            return self._selectivity_cache[key]
+        except KeyError:
+            pass
+        except TypeError:
+            key = None
+        rows = self._reservoir.view
+        if not rows:
+            fraction = 0.0
+        elif not terms:
+            fraction = 1.0
+        else:
+            columns, count = predicates.count_kernel()
+            fraction = count([self._column(column) for column in columns]) / len(rows)
         if key is not None:
             self._selectivity_cache[key] = fraction
         return fraction
+
+    def _column(self, attribute: str | None) -> Sequence[Any]:
+        """The sample's values of ``attribute`` (``None``: the rows), in
+        reservoir order.  Built on first use and invalidated by the next
+        insert or delete, so only attributes planned on since the last
+        write are kept."""
+        if attribute is None:
+            return self._reservoir.view
+        if self._columns_stale:
+            self._columns.clear()
+            self._columns_stale = False
+        column = self._columns.get(attribute)
+        if column is None:
+            column = self._columns[attribute] = tuple(
+                map(itemgetter(attribute), self._reservoir.view)
+            )
+        return column
+
+    def _key_vector(self, spec: CompositeKeySpec) -> Sequence[Hashable]:
+        """Every sample row's ``spec`` key, in reservoir order.
+
+        Identity-bucketed keys come straight from the column vectors -- the
+        bare value for one attribute, a tuple of values for several; both
+        are equal exactly when the ``key_of`` tuples are, so distinct counts
+        agree.  Bucketed specs go through ``key_of``.
+        """
+        if self._spec_cache_key(spec) is None:
+            return [spec.key_of(row) for row in self._reservoir.view]
+        columns = [self._column(attribute) for attribute in spec.attributes]
+        return columns[0] if len(columns) == 1 else list(zip(*columns))
 
     # -- derived statistics ------------------------------------------------------
 
@@ -417,10 +488,9 @@ class IncrementalTableStatistics:
         cache_key = self._spec_cache_key(spec)
         if cache_key is not None and cache_key in self._cardinality_cache:
             return self._cardinality_cache[cache_key]
-        rows = self._reservoir.sample
-        if not rows:
+        if not self._reservoir.view:
             return 0
-        keys = [spec.key_of(row) for row in rows]
+        keys = self._key_vector(spec)
         if self.sample_is_complete:
             estimate = len(set(keys))
         else:
@@ -442,14 +512,12 @@ class IncrementalTableStatistics:
         cache_key = (u_key, c_key) if u_key is not None and c_key is not None else None
         if cache_key is not None and cache_key in self._profile_cache:
             return self._profile_cache[cache_key]
-        rows = self._reservoir.sample
-        collector = StatisticsCollector(rows)
+        u_keys = self._key_vector(u_spec)
+        c_keys = self._key_vector(c_spec)
         if self.sample_is_complete:
-            profile = collector.correlation_profile(u_spec, c_spec)
+            profile = exact_profile_of_keys(u_keys, c_keys)
         else:
-            profile = collector.estimated_correlation_profile(
-                u_spec, c_spec, rows, total_rows=self._total_rows
-            )
+            profile = estimated_profile_of_keys(u_keys, c_keys, self._total_rows)
         if cache_key is not None:
             self._profile_cache[cache_key] = profile
         return profile
@@ -488,22 +556,5 @@ def exact_c_per_u(
     Both sides accept either a plain attribute name or a (possibly bucketed)
     :class:`CompositeKeySpec`.
     """
-    u_spec = (
-        unclustered
-        if isinstance(unclustered, CompositeKeySpec)
-        else CompositeKeySpec.build([unclustered])
-    )
-    c_spec = (
-        clustered
-        if isinstance(clustered, CompositeKeySpec)
-        else CompositeKeySpec.build([clustered])
-    )
-    u_values = set()
-    uc_values = set()
-    for row in rows:
-        u_key = u_spec.key_of(row)
-        u_values.add(u_key)
-        uc_values.add((u_key, c_spec.key_of(row)))
-    if not u_values:
-        return 0.0
-    return len(uc_values) / len(u_values)
+    collector = StatisticsCollector(list(rows))
+    return collector.correlation_profile(unclustered, clustered).c_per_u

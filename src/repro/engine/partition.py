@@ -373,10 +373,7 @@ class PartitionedTable:
 
     def estimate_matching_rows(self, predicates: "PredicateSet") -> float:
         """Whole-table estimated matching rows (sample selectivity x count)."""
-        fraction = self.statistics.match_fraction(
-            predicates.matches, key=tuple(predicates)
-        )
-        return self.num_rows * fraction
+        return self.num_rows * self.statistics.match_fraction(predicates)
 
     def attribute_range(self, attribute: str) -> tuple[Any, Any] | None:
         return self.statistics.attribute_range(attribute)

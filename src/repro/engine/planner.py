@@ -1013,9 +1013,7 @@ class Planner:
 
         selectivity = 1.0
         if layout.inner_local:
-            selectivity = inner.statistics.match_fraction(
-                layout.inner_local.matches, key=tuple(layout.inner_local)
-            )
+            selectivity = inner.statistics.match_fraction(layout.inner_local)
         children: list[PlanNode] = []
         device_entries: list["DiskModel | tuple[DiskModel, ...]"] = []
         sort_devices: list["DiskModel"] = []
@@ -1033,10 +1031,7 @@ class Planner:
                 assert isinstance(inner, PartitionedTable)
                 inner_child = inner.partitions[index]
                 child_selectivity = (
-                    inner_child.statistics.match_fraction(
-                        layout.inner_local.matches,
-                        key=tuple(layout.inner_local),
-                    )
+                    inner_child.statistics.match_fraction(layout.inner_local)
                     if layout.inner_local
                     else 1.0
                 )
@@ -1566,7 +1561,7 @@ class Planner:
                 float(table.key_cardinality(inner_columns)),
             )
             selectivity = (
-                table.statistics.match_fraction(local.matches, key=tuple(local))
+                table.statistics.match_fraction(local)
                 if local
                 else 1.0
             )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.composite import ValueConstraint
+from repro.core.statistics import CountKernel
 
 
 class Predicate:
@@ -33,19 +34,27 @@ class Predicate:
         """
         return self.matches
 
-    def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
-        """A Python expression testing this predicate on ``row``, plus its
-        environment.
+    @property
+    def column(self) -> str | None:
+        """The attribute :meth:`condition_source` tests, or ``None`` when the
+        fragment needs the whole row."""
+        return None
 
-        The fragments of every predicate in a :class:`PredicateSet` are
-        ``and``-joined into one compiled batch comprehension (see
-        :meth:`PredicateSet.batch_kernel`), so the per-row cost drops from
+    def condition_source(self, index: int, value: str) -> tuple[str, dict[str, Any]]:
+        """A Python expression testing this predicate, plus its environment.
+
+        ``value`` is the source text of the predicate's input: the value of
+        :attr:`column`, or the row itself when that is ``None``.  The
+        fragments of every predicate in a :class:`PredicateSet` are
+        ``and``-joined into one compiled comprehension -- over row dicts in
+        :meth:`PredicateSet.batch_kernel`, over column vectors in
+        :meth:`PredicateSet.count_kernel` -- so the per-row cost drops from
         one closure call per predicate to inline comparisons.  ``index``
         uniquifies the environment names of this predicate's constants.  The
         default falls back to calling the :meth:`selector` closure.
         """
         name = f"_predicate{index}"
-        return f"{name}(row)", {name: self.selector()}
+        return f"{name}({value})", {name: self.selector()}
 
     def constraint(self) -> ValueConstraint:
         raise NotImplementedError
@@ -70,11 +79,12 @@ class Equals(Predicate):
         attribute, value = self.attribute, self.value
         return lambda row: row[attribute] == value
 
-    def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
-        return (
-            f"row[_attr{index}] == _value{index}",
-            {f"_attr{index}": self.attribute, f"_value{index}": self.value},
-        )
+    @property
+    def column(self) -> str:
+        return self.attribute
+
+    def condition_source(self, index: int, value: str) -> tuple[str, dict[str, Any]]:
+        return f"{value} == _value{index}", {f"_value{index}": self.value}
 
     def constraint(self) -> ValueConstraint:
         return ValueConstraint.equals(self.value)
@@ -107,12 +117,13 @@ class InSet(Predicate):
         attribute, values = self.attribute, self.values
         return lambda row: row[attribute] in values
 
-    def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
+    @property
+    def column(self) -> str:
+        return self.attribute
+
+    def condition_source(self, index: int, value: str) -> tuple[str, dict[str, Any]]:
         # Tuple containment, matching selector()/matches().
-        return (
-            f"row[_attr{index}] in _values{index}",
-            {f"_attr{index}": self.attribute, f"_values{index}": self.values},
-        )
+        return f"{value} in _values{index}", {f"_values{index}": self.values}
 
     def constraint(self) -> ValueConstraint:
         return ValueConstraint.in_set(self.values)
@@ -155,22 +166,21 @@ class Between(Predicate):
             return lambda row: not row[attribute] < low
         return lambda row: not (row[attribute] < low or row[attribute] > high)
 
-    def condition_source(self, index: int) -> tuple[str, dict[str, Any]]:
+    @property
+    def column(self) -> str:
+        return self.attribute
+
+    def condition_source(self, index: int, value: str) -> tuple[str, dict[str, Any]]:
         # Negated-exclusion form, like selector(): a failed comparison
         # (e.g. NaN) keeps the row, exactly as matches() does.
-        attr = f"_attr{index}"
-        env: dict[str, Any] = {attr: self.attribute}
+        low, high = f"_low{index}", f"_high{index}"
         if self.low is None:
-            env[f"_high{index}"] = self.high
-            return f"not row[{attr}] > _high{index}", env
+            return f"not {value} > {high}", {high: self.high}
         if self.high is None:
-            env[f"_low{index}"] = self.low
-            return f"not row[{attr}] < _low{index}", env
-        env[f"_low{index}"] = self.low
-        env[f"_high{index}"] = self.high
+            return f"not {value} < {low}", {low: self.low}
         return (
-            f"not (row[{attr}] < _low{index} or row[{attr}] > _high{index})",
-            env,
+            f"not ({value} < {low} or {value} > {high})",
+            {low: self.low, high: self.high},
         )
 
     def constraint(self) -> ValueConstraint:
@@ -213,6 +223,7 @@ class PredicateSet:
         #: Compiled batch kernels keyed by projection tuple (None = no
         #: projection), built lazily by :meth:`batch_kernel`.
         self._kernels: dict[tuple[str, ...] | None, Callable[[list], list]] = {}
+        self._count_kernel: CountKernel | None = None
 
     def __iter__(self) -> Iterator["Predicate"]:
         return iter(self.predicates)
@@ -258,22 +269,59 @@ class PredicateSet:
         kernel = self._kernels.get(key)
         if kernel is None:
             env: dict[str, Any] = {}
-            conditions: list[str] = []
+            values: list[str] = []
             for index, predicate in enumerate(self.predicates):
-                fragment, bindings = predicate.condition_source(index)
-                conditions.append(f"({fragment})")
-                env.update(bindings)
+                if predicate.column is None:
+                    values.append("row")
+                else:
+                    values.append(f"row[_attr{index}]")
+                    env[f"_attr{index}"] = predicate.column
+            suffix = self._condition_suffix(values, env)
             if key is None:
                 element = "row"
             else:
                 env["_columns"] = key
                 element = "{column: row[column] for column in _columns}"
-            condition = " and ".join(conditions)
-            suffix = f" if {condition}" if condition else ""
             source = f"lambda rows: [{element} for row in rows{suffix}]"
             kernel = eval(compile(source, "<batch-kernel>", "eval"), env)
             self._kernels[key] = kernel
         return kernel
+
+    def count_kernel(self) -> CountKernel:
+        """A compiled counter of matching rows over column vectors.
+
+        Returns the columns the kernel reads -- attribute names, or ``None``
+        for the rows themselves, which an :class:`ExpressionPredicate` tests
+        -- and a function taking one equal-length sequence per column.  It
+        loops over their ``zip`` and counts the positions passing the same
+        ``and``-joined :meth:`Predicate.condition_source` fragments as
+        :meth:`batch_kernel`, in the same order, so it agrees with
+        :meth:`matches` row for row, exceptions included.  It only counts;
+        no list of rows is built.  An empty set reads the rows and counts
+        every one.  Compiled once per set.
+        """
+        if self._count_kernel is None:
+            columns = list(dict.fromkeys(p.column for p in self.predicates)) or [None]
+            env: dict[str, Any] = {}
+            suffix = self._condition_suffix(
+                [f"_v{columns.index(p.column)}" for p in self.predicates], env
+            )
+            targets = "".join(f"_v{position}, " for position in range(len(columns)))
+            source = f"lambda columns: len([1 for ({targets}) in zip(*columns){suffix}])"
+            count = eval(compile(source, "<count-kernel>", "eval"), env)
+            self._count_kernel = (tuple(columns), count)
+        return self._count_kernel
+
+    def _condition_suffix(self, values: Sequence[str], env: dict[str, Any]) -> str:
+        """The `` if ...`` clause testing every predicate, ``values[i]``
+        being the source of predicate ``i``'s input; binds its constants
+        into ``env``.  Empty for an empty set."""
+        conditions: list[str] = []
+        for index, (predicate, value) in enumerate(zip(self.predicates, values)):
+            fragment, bindings = predicate.condition_source(index, value)
+            conditions.append(f"({fragment})")
+            env.update(bindings)
+        return f" if {' and '.join(conditions)}" if conditions else ""
 
     @property
     def attributes(self) -> tuple[str, ...]:

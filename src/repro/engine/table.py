@@ -443,10 +443,7 @@ class Table:
         served entirely from the reservoir sample, never from the heap, and
         memoised per predicate set until the next insert/delete.
         """
-        fraction = self.statistics.match_fraction(
-            predicates.matches, key=tuple(predicates)
-        )
-        return self.num_rows * fraction
+        return self.num_rows * self.statistics.match_fraction(predicates)
 
     def attribute_range(self, attribute: str) -> tuple[Any, Any] | None:
         """Incrementally-maintained ``(min, max)`` of ``attribute``."""

@@ -9,7 +9,7 @@ the standard single-pass way to do that.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 
 class ReservoirSampler:
@@ -44,6 +44,16 @@ class ReservoirSampler:
     def sample(self) -> list[Any]:
         """The current reservoir contents (a copy)."""
         return list(self._items)
+
+    @property
+    def view(self) -> Sequence[Any]:
+        """The reservoir contents themselves, not a copy.
+
+        Read-only by contract, and live: later :meth:`add` and
+        :meth:`discard` calls show through it.  Callers that keep the rows
+        take :attr:`sample`.
+        """
+        return self._items
 
     def __len__(self) -> int:
         return len(self._items)

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from repro.core.bucketing import IdentityBucketer, WidthBucketer
 from repro.core.composite import CompositeKeySpec, ValueConstraint
-from repro.core.correlation_map import CorrelationMap
+from repro.core.correlation_map import (
+    _COUNT_BYTES,
+    _KEY_OVERHEAD_BYTES,
+    _TARGET_BYTES,
+    CorrelationMap,
+    _value_bytes,
+)
 
 
 def city_cm():
@@ -347,3 +353,35 @@ class TestPropertyBased:
             assert cm.delete(rows[index])
         assert cm.distinct_keys == 0
         assert cm.total_entries == 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(["a", "bb", "cccccc", 7, 2.5]),
+                st.integers(0, 3),
+                st.integers(0, 4),
+            ),
+            max_size=200,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_size_accounting_matches_full_walk(self, operations):
+        """The incrementally kept byte and entry counts equal a walk of every
+        key after any mix of inserts and deletes (including no-op deletes)."""
+        cm = CorrelationMap("cm", CompositeKeySpec.build(["u", "v"]), "c")
+        for is_insert, u, v, c in operations:
+            row = {"u": u, "v": v, "c": c}
+            if is_insert:
+                cm.insert(row)
+            else:
+                cm.delete(row)
+        entries = sum(len(cm.targets_of_key(key)) for key in cm.keys())
+        walked = sum(
+            _value_bytes(key)
+            + _KEY_OVERHEAD_BYTES
+            + len(cm.targets_of_key(key)) * (_TARGET_BYTES + _COUNT_BYTES)
+            for key in cm.keys()
+        )
+        assert cm.total_entries == entries
+        assert cm.size_bytes() == walked

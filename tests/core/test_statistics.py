@@ -3,14 +3,26 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bucketing import WidthBucketer
 from repro.core.composite import CompositeKeySpec
+from repro.core.model import CorrelationProfile
 from repro.core.statistics import (
+    IncrementalTableStatistics,
     StatisticsCollector,
     c_per_u_from_cardinalities,
     exact_c_per_u,
 )
+from repro.engine.predicates import (
+    Between,
+    Equals,
+    ExpressionPredicate,
+    InSet,
+    PredicateSet,
+)
+from repro.sampling.adaptive import adaptive_estimate
 
 
 def city_state_rows():
@@ -310,3 +322,144 @@ class TestPeriodicStatisticsRefresh:
         assert stats.sample_is_complete
         assert len(stats.sample_rows) == refreshed.table("t").num_rows == 100
         assert refreshed.table("t").attribute_range("k") == (0, 99)
+
+
+# -- columnar planner statistics vs the per-row definitions ---------------------
+
+NAN = float("nan")
+
+
+def _row_match_fraction(stats, predicates):
+    """The per-row selectivity definition: ``PredicateSet.matches`` per row."""
+    rows = stats.sample_rows
+    return sum(1 for row in rows if predicates.matches(row)) / len(rows) if rows else 0.0
+
+
+def _row_cardinality(stats, spec):
+    """The per-row cardinality definition: ``key_of`` on every sample row."""
+    keys = [spec.key_of(row) for row in stats.sample_rows]
+    if not keys:
+        return 0
+    if stats.sample_is_complete:
+        return len(set(keys))
+    return int(round(adaptive_estimate(keys, max(stats.total_rows, len(keys)))))
+
+
+def _row_correlation_profile(stats, u_spec, c_spec):
+    """The per-row Table 2 definition, exact or Adaptive-Estimator-scaled."""
+    rows = stats.sample_rows
+    if not rows:
+        return CorrelationProfile(c_per_u=0.0, c_tups=0.0, u_tups=0.0)
+    u_keys = [u_spec.key_of(row) for row in rows]
+    c_keys = [c_spec.key_of(row) for row in rows]
+    pairs = list(zip(u_keys, c_keys))
+    total = len(rows)
+    if stats.sample_is_complete:
+        return CorrelationProfile(
+            c_per_u=len(set(pairs)) / len(set(u_keys)),
+            c_tups=total / len(set(c_keys)),
+            u_tups=total / len(set(u_keys)),
+        )
+    total = max(stats.total_rows, total)
+    d_u = adaptive_estimate(u_keys, total)
+    d_c = adaptive_estimate(c_keys, total)
+    d_uc = max(adaptive_estimate(pairs, total), d_u, d_c)
+    return CorrelationProfile(
+        c_per_u=d_uc / d_u, c_tups=total / max(d_c, 1.0), u_tups=total / max(d_u, 1.0)
+    )
+
+
+def _outcome(compute):
+    """A result, or the type and message of the ``TypeError`` it raised."""
+    try:
+        return ("value", compute())
+    except TypeError as error:
+        return ("TypeError", str(error))
+
+
+_numbers = st.one_of(
+    st.integers(-3, 3), st.floats(-3, 3, allow_nan=False), st.just(NAN), st.none()
+)
+_mixed = st.one_of(st.integers(0, 3), st.sampled_from(["x", "y"]), st.just(NAN), st.none())
+_rows = st.lists(
+    st.fixed_dictionaries({"a": _numbers, "b": st.integers(0, 4), "m": _mixed}),
+    max_size=40,
+)
+_predicates = st.lists(
+    st.one_of(
+        st.builds(Between, st.just("a"), st.integers(-2, 0), st.integers(0, 2)),
+        st.builds(Between, st.just("a"), st.none(), st.floats(-2, 2, allow_nan=False)),
+        st.builds(Equals, st.just("a"), _numbers),
+        st.builds(InSet, st.just("b"), st.lists(st.integers(0, 4), max_size=3)),
+        st.builds(Between, st.just("m"), st.just(1), st.just(2)),
+        st.builds(Equals, st.just("m"), _mixed),
+        st.just(ExpressionPredicate("b_even", lambda row: row["b"] % 2 == 0)),
+    ),
+    max_size=3,
+)
+_SPECS = [
+    CompositeKeySpec.build(["a"]),
+    CompositeKeySpec.build(["m"]),
+    CompositeKeySpec.build(["a", "m"]),
+    CompositeKeySpec.build(["b"], {"b": WidthBucketer(2)}),
+]
+_CLUSTERED = [CompositeKeySpec.build(["b"]), CompositeKeySpec.build(["m"])]
+
+
+@given(
+    rows=_rows,
+    predicates=_predicates,
+    capacity=st.integers(1, 50),
+    deletes=st.integers(0, 5),
+)
+@example(  # NaN, and two predicates on one attribute
+    rows=[{"a": NAN, "b": 1, "m": 0}, {"a": 1, "b": 2, "m": 0}, {"a": 1.5, "b": 2, "m": 0}],
+    predicates=[Between("a", 0, 2), Equals("a", 1)],
+    capacity=50,
+    deletes=0,
+)
+@example(  # None raises the same TypeError on the first row that reaches it
+    rows=[{"a": 1, "b": 1, "m": 0}, {"a": None, "b": 2, "m": 0}],
+    predicates=[Between("a", 0, 2)],
+    capacity=50,
+    deletes=0,
+)
+@example(  # mixed types, an expression predicate, a subsampled reservoir
+    rows=[{"a": i, "b": i % 5, "m": ["x", 1, None, NAN][i % 4]} for i in range(40)],
+    predicates=[ExpressionPredicate("b_even", lambda row: row["b"] % 2 == 0), Equals("m", "x")],
+    capacity=10,
+    deletes=2,
+)
+@example(rows=[{"a": 1, "b": 1, "m": 0}], predicates=[], capacity=50, deletes=0)
+@settings(max_examples=200, deadline=None)
+def test_columnar_statistics_match_per_row_definitions(rows, predicates, capacity, deletes):
+    """Column vectors + count kernels give exactly the per-row results."""
+    stats = IncrementalTableStatistics(sample_capacity=capacity, seed=3)
+    for row in rows:
+        stats.observe_insert(row)
+    for row in rows[:deletes]:
+        stats.observe_delete(row)
+    predicate_set = PredicateSet(predicates)
+    assert _outcome(lambda: stats.match_fraction(predicate_set)) == _outcome(
+        lambda: _row_match_fraction(stats, predicate_set)
+    )
+    for spec in _SPECS:
+        assert stats.cardinality(spec) == _row_cardinality(stats, spec)
+        for clustered in _CLUSTERED:
+            if clustered.attributes[0] in spec.attributes:
+                continue
+            assert stats.correlation_profile(spec, clustered) == _row_correlation_profile(
+                stats, spec, clustered
+            )
+
+
+def test_empty_predicate_set_compiles_nothing():
+    stats = IncrementalTableStatistics()
+    stats.observe_insert({"a": 1})
+    predicate_set = PredicateSet()
+    assert stats.match_fraction(predicate_set) == 1.0
+    assert predicate_set._count_kernel is None
+    # The kernel itself also treats the empty conjunction as TRUE.
+    columns, count = predicate_set.count_kernel()
+    assert columns == (None,)
+    assert count([[{"a": 1}, {"a": 2}]]) == 2

@@ -14,9 +14,11 @@ Usage::
         [--output BENCH_partition.json] [--scenario NAME ...]
 
 ``--check`` turns the run into the CI gate: it fails on any parity
-violation, on a pruning page ratio above the acceptance floor, and -- only
-on runners with at least ``MIN_CORES_FOR_FLOOR`` cores -- on a parallel
-speedup below the floor.  On smaller runners the wall-clock floor is
+violation, on a pruning page ratio above the acceptance floor, on a
+partitioned ORDER BY + LIMIT slower in wall clock than
+``MERGE_WALLCLOCK_RATIO_FLOOR`` times the flat one (host-relative: both are
+timed on the same runner), and -- only on runners with at least
+``MIN_CORES_FOR_FLOOR`` cores -- on a parallel speedup below the floor.  On smaller runners the wall-clock floor is
 skipped with an explicit message: a 1-2 core container cannot demonstrate
 a 2x multi-core speedup, and a red build there would only measure the
 runner, not the code.
@@ -36,6 +38,7 @@ from repro.bench.partition import (  # noqa: E402 (path bootstrap above)
     FLAGSHIP_SCENARIO,
     JOIN_SCENARIO,
     MERGE_SIMULATED_RATIO_FLOOR,
+    MERGE_WALLCLOCK_RATIO_FLOOR,
     MIN_CORES_FOR_FLOOR,
     MIN_SERIAL_SECONDS,
     ORDERED_MERGE_SCENARIO,
@@ -103,7 +106,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{summary['pruning_page_ratio']}, parallel speedup "
         f"{summary['parallel_speedup']}x, join speedup "
         f"{summary['join_speedup']}x, merge simulated ratio "
-        f"{summary['merge_simulated_ratio']} on {report['cpu_count']} cores)"
+        f"{summary['merge_simulated_ratio']}, merge wall-clock ratio "
+        f"{summary['merge_wallclock_ratio']} on {report['cpu_count']} cores)"
     )
 
     if not args.check:
@@ -126,6 +130,15 @@ def main(argv: list[str] | None = None) -> int:
             f"ERROR: ordered-merge simulated cost ratio {merge_ratio} on "
             f"{ORDERED_MERGE_SCENARIO} exceeds the non-regression floor "
             f"{MERGE_SIMULATED_RATIO_FLOOR} (machine-independent)",
+            file=sys.stderr,
+        )
+        failed = True
+    merge_wallclock = summary["merge_wallclock_ratio"]
+    if merge_wallclock is not None and merge_wallclock > MERGE_WALLCLOCK_RATIO_FLOOR:
+        print(
+            f"ERROR: {ORDERED_MERGE_SCENARIO} runs {merge_wallclock}x the flat "
+            f"wall clock (serial_seconds / flat_seconds), above the "
+            f"{MERGE_WALLCLOCK_RATIO_FLOOR}x floor (host-relative)",
             file=sys.stderr,
         )
         failed = True

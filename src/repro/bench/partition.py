@@ -81,6 +81,14 @@ ORDERED_MERGE_SCENARIO = "ordered_limit_merge"
 #: doing its job.
 MERGE_SIMULATED_RATIO_FLOOR = 1.10
 
+#: Acceptance: the partitioned ORDER BY + LIMIT must not run slower in wall
+#: clock than this factor times the flat one.  Both are timed in the same
+#: process on the same host, so the ratio is host-relative and the gate
+#: holds on any runner.  The budget covers the merge exchange's per-
+#: partition drains and the k-way merge; the per-partition top-k themselves
+#: run on the same batched kernels as the flat top-k.
+MERGE_WALLCLOCK_RATIO_FLOOR = 1.5
+
 #: Below this flagship serial wall clock the floor is vacuous: pool
 #: startup (tens of milliseconds) swamps any speedup the workers could
 #: show, whatever the core count -- ``--check`` skips the floor loudly.
@@ -470,11 +478,13 @@ def build_report(
     flagship = by_name.get(FLAGSHIP_SCENARIO)
     join = by_name.get(JOIN_SCENARIO)
     merge = by_name.get(ORDERED_MERGE_SCENARIO)
-    merge_ratio = None
+    merge_ratio = merge_wallclock = None
     if merge is not None and merge.simulated_ms_flat:
         merge_ratio = round(
             merge.simulated_ms_partitioned / merge.simulated_ms_flat, 4
         )
+    if merge is not None and merge.flat_seconds and merge.serial_seconds:
+        merge_wallclock = round(merge.serial_seconds / merge.flat_seconds, 3)
     return {
         "schema": REPORT_SCHEMA,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -495,6 +505,7 @@ def build_report(
             if join and join.speedup is not None
             else None,
             "merge_simulated_ratio": merge_ratio,
+            "merge_wallclock_ratio": merge_wallclock,
         },
     }
 

@@ -1,28 +1,29 @@
-"""Wall-clock benchmarks: batched vs row-at-a-time executor, in real seconds.
+"""Wall-clock benchmarks: executor throughput per query shape, in real seconds.
 
 Every other benchmark in this repository measures *simulated* milliseconds
 -- the paper's disk model, deliberately independent of the host machine.
 This module measures the one thing the simulation cannot: the real CPU cost
-of driving the interpreter, which is exactly what the batched executor
-attacks.  Each scenario plans one query, executes it through both protocols
-(``Database.batch_size = None`` vs a real batch size) on the *same* database
+of driving the interpreter.  Each scenario plans one query, executes it at
+batch size 1 and at the configured batch size on the *same* database
 instance, verifies that the simulated statistics are bit-identical (rows,
-pages, I/O breakdown, simulated elapsed time -- the parity contract of the
-batched executor), and then times both modes with best-of-N repeats.
+pages, I/O breakdown, simulated elapsed time -- the executor's parity
+contract), and then times the configured batch size with best-of-N repeats.
+Throughput is reported as rows examined per second.
 
 :func:`run_benchmarks` returns the scenario results and
 :func:`write_report` persists them as ``BENCH_exec.json`` so the wall-clock
-trajectory is tracked across PRs (CI uploads the file as an artifact).
+trajectory is tracked across changes (CI uploads the file as an artifact);
+:func:`floor_failures` compares a fresh run against a committed report.
 
 Run from a checkout::
 
-    PYTHONPATH=src python scripts/bench_wallclock.py            # full
-    PYTHONPATH=src python scripts/bench_wallclock.py --smoke    # CI smoke
+    PYTHONPATH=src python scripts/bench_wallclock.py
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import random
 import sys
@@ -37,10 +38,14 @@ from repro.engine.predicates import Between
 from repro.engine.query import Aggregate, Query, QueryResult
 
 #: Schema tag written into BENCH_exec.json (bump on layout changes).
-REPORT_SCHEMA = "repro-bench-exec/v1"
+REPORT_SCHEMA = "repro-bench-exec/v2"
 
-#: The scenarios the acceptance speedup criterion is asserted on.
+#: The scenarios the flagship throughput gate is asserted on.
 FLAGSHIP_SCENARIOS = ("full_scan_aggregate", "unindexed_join")
+
+#: Fraction of the committed rows/s a scenario must keep: regression means
+#: losing more than half, which absorbs runner noise.
+FLOOR_HEADROOM = 0.5
 
 
 @dataclass(frozen=True)
@@ -49,29 +54,27 @@ class BenchConfig:
 
     #: Multiplier on every scenario's row counts.
     scale: float = 1.0
-    #: Timing repeats per mode (best-of-N is reported).
+    #: Timing repeats (best-of-N is reported).
     repeats: int = 3
-    #: Rows per batch for the batched mode.
+    #: Rows per batch for the timed runs.
     batch_size: int = DEFAULT_BATCH_SIZE
-
-    @classmethod
-    def smoke(cls) -> "BenchConfig":
-        """A fast configuration for CI smoke runs (seconds, not minutes)."""
-        return cls(scale=0.25, repeats=2)
 
 
 @dataclass
 class ScenarioResult:
-    """One scenario's timings plus the parity evidence."""
+    """One scenario's timing plus the parity evidence."""
 
     name: str
     description: str
     rows_matched: int
+    rows_examined: int
     pages_visited: int
     simulated_ms: float
-    row_seconds: float
-    batched_seconds: float
-    speedup: float
+    #: Best-of-N wall-clock seconds of one cold-cache run.
+    seconds: float
+    #: ``rows_examined / seconds``: the floor-gated throughput.
+    rows_per_s: float
+    #: Batch size 1 and the configured batch size agree bit for bit.
     parity_ok: bool
 
 
@@ -180,44 +183,42 @@ def _time_best(run: Callable[[], Any], repeats: int) -> float:
 
 
 def run_scenario(scenario: _Scenario, config: BenchConfig) -> ScenarioResult:
-    """Execute one scenario in both modes: parity check, then timings.
+    """Execute one scenario at two batch sizes: parity check, then timing.
 
     Every run is cold-cache (the paper's methodology), so the simulated
-    statistics of the two modes are directly comparable -- and asserted
-    equal before any timing is taken.
+    statistics of the two batch sizes are directly comparable -- and
+    compared before any timing is taken.
     """
     db = scenario.database
 
-    def run(batched: bool) -> QueryResult:
-        db.batch_size = config.batch_size if batched else None
+    def run(batch_size: int) -> QueryResult:
+        db.batch_size = batch_size
         # Park the simulated disk head at a known position so the first
         # read of every run classifies identically, whatever ran before.
         db.reset_measurements()
         return db.run_query(scenario.query, cold_cache=True, **scenario.run_kwargs)
 
-    row_result = run(False)
-    batched_result = run(True)
+    single = run(1)
+    batched = run(config.batch_size)
     parity_ok = (
-        row_result.rows_matched == batched_result.rows_matched
-        and row_result.value == batched_result.value
-        and row_result.pages_visited == batched_result.pages_visited
-        and row_result.rows_examined == batched_result.rows_examined
-        and row_result.join_probes == batched_result.join_probes
-        and row_result.io == batched_result.io
-        and abs(row_result.elapsed_ms - batched_result.elapsed_ms) < 1e-9
+        single.rows == batched.rows
+        and single.value == batched.value
+        and single.pages_visited == batched.pages_visited
+        and single.rows_examined == batched.rows_examined
+        and single.join_probes == batched.join_probes
+        and single.io == batched.io
+        and single.elapsed_ms == batched.elapsed_ms
     )
-    row_seconds = _time_best(lambda: run(False), config.repeats)
-    batched_seconds = _time_best(lambda: run(True), config.repeats)
-    db.batch_size = config.batch_size
+    seconds = _time_best(lambda: run(config.batch_size), config.repeats)
     return ScenarioResult(
         name=scenario.name,
         description=scenario.description,
-        rows_matched=row_result.rows_matched,
-        pages_visited=row_result.pages_visited,
-        simulated_ms=row_result.elapsed_ms,
-        row_seconds=row_seconds,
-        batched_seconds=batched_seconds,
-        speedup=row_seconds / batched_seconds if batched_seconds > 0 else float("inf"),
+        rows_matched=batched.rows_matched,
+        rows_examined=batched.rows_examined,
+        pages_visited=batched.pages_visited,
+        simulated_ms=batched.elapsed_ms,
+        seconds=seconds,
+        rows_per_s=batched.rows_examined / seconds if seconds > 0 else float("inf"),
         parity_ok=parity_ok,
     )
 
@@ -241,26 +242,50 @@ def build_report(
     results: Sequence[ScenarioResult], config: BenchConfig
 ) -> dict[str, Any]:
     """The BENCH_exec.json payload for one finished run."""
-    flagship = {
-        result.name: round(result.speedup, 2)
-        for result in results
-        if result.name in FLAGSHIP_SCENARIOS
-    }
     return {
         "schema": REPORT_SCHEMA,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "python": sys.version.split()[0],
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
         "config": asdict(config),
         "scenarios": {result.name: asdict(result) for result in results},
         "summary": {
             "parity_ok": all(result.parity_ok for result in results),
-            "min_speedup": round(min(result.speedup for result in results), 2)
-            if results
-            else None,
-            "flagship_speedups": flagship,
+            "rows_per_s": {
+                result.name: round(result.rows_per_s) for result in results
+            },
         },
     }
+
+
+def floor_failures(
+    results: Sequence[ScenarioResult],
+    committed: dict[str, Any],
+    headroom: float,
+) -> dict[str, str]:
+    """Scenarios whose throughput fell below ``headroom`` x the committed one.
+
+    ``committed`` is a parsed ``BENCH_exec.json`` of this schema; scenarios
+    it does not list are not gated.  Maps each failing scenario to a message.
+    """
+    if committed.get("schema") != REPORT_SCHEMA:
+        raise ValueError(
+            f"committed report has schema {committed.get('schema')!r}, "
+            f"expected {REPORT_SCHEMA!r}"
+        )
+    floors = committed["summary"]["rows_per_s"]
+    failures = {}
+    for result in results:
+        if result.name not in floors:
+            continue
+        floor = floors[result.name] * headroom
+        if result.rows_per_s < floor:
+            failures[result.name] = (
+                f"{result.name}: {result.rows_per_s:,.0f} rows/s < floor "
+                f"{floor:,.0f} ({floors[result.name]:,} committed x {headroom})"
+            )
+    return failures
 
 
 def write_report(
@@ -277,15 +302,15 @@ def write_report(
 def format_results(results: Sequence[ScenarioResult]) -> str:
     """A fixed-width table of one run's results (for terminals and CI logs)."""
     header = (
-        f"{'scenario':<20} {'rows':>8} {'pages':>7} {'sim ms':>9} "
-        f"{'row s':>9} {'batch s':>9} {'speedup':>8} {'parity':>7}"
+        f"{'scenario':<20} {'rows':>8} {'examined':>9} {'pages':>7} "
+        f"{'sim ms':>9} {'seconds':>9} {'rows/s':>11} {'parity':>7}"
     )
     lines = [header, "-" * len(header)]
     for result in results:
         lines.append(
-            f"{result.name:<20} {result.rows_matched:>8} {result.pages_visited:>7} "
-            f"{result.simulated_ms:>9.1f} {result.row_seconds:>9.4f} "
-            f"{result.batched_seconds:>9.4f} {result.speedup:>7.2f}x "
+            f"{result.name:<20} {result.rows_matched:>8} {result.rows_examined:>9} "
+            f"{result.pages_visited:>7} {result.simulated_ms:>9.1f} "
+            f"{result.seconds:>9.4f} {result.rows_per_s:>11,.0f} "
             f"{'ok' if result.parity_ok else 'FAIL':>7}"
         )
     return "\n".join(lines)

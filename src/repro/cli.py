@@ -55,7 +55,7 @@ def _run_demo(
     limit: int | None = None,
     join: bool = False,
     analyze: bool = False,
-    batch_size: int | None = -1,
+    batch_size: int | None = None,
     partitions: int | None = None,
 ) -> int:
     """Inline quickstart (the installable twin of ``examples/quickstart.py``)."""
@@ -68,15 +68,10 @@ def _run_demo(
     for item_id in range(30_000):
         price = rng.uniform(0, 100_000)
         rows.append({"itemid": item_id, "catid": int(price // 500), "price": price})
-    if batch_size == -1:
+    if batch_size is None:
         db = Database(buffer_pool_pages=1_000)
     else:
-        # --batch-size 0 runs the row-at-a-time executor; any other value
-        # sets the rows-per-batch of the batched executor.
-        db = Database(
-            buffer_pool_pages=1_000,
-            batch_size=None if batch_size == 0 else batch_size,
-        )
+        db = Database(buffer_pool_pages=1_000, batch_size=batch_size)
     db.create_table("items", sample_row=rows[0], tups_per_page=50)
     db.load("items", rows)
     db.cluster("items", "catid", pages_per_bucket=10)
@@ -329,12 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--batch-size",
-        type=_non_negative_int,
-        default=-1,
-        help=(
-            "rows per executor batch (0 = row-at-a-time executor; "
-            "default: the engine's batch size)"
-        ),
+        type=_positive_int,
+        default=None,
+        help="rows per executor batch (default: the engine's batch size)",
     )
     demo.add_argument(
         "--partitions",

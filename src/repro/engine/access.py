@@ -21,19 +21,16 @@ Four access methods are implemented, mirroring Sections 3 and 5 of the paper:
     clustered bucket ids), sweep those page ranges and re-apply the original
     predicate to drop false positives.
 
-Every path streams: :meth:`AccessPath.iter_rows` is a generator built on one
-shared scan kernel (page sweep + residual filter + counter charging) and an
-:class:`~repro.engine.executor.ExecutionContext` that carries counters, the
-LIMIT budget and the projection.  :meth:`AccessPath.execute` is a thin
-materialising wrapper kept for callers that want every row at once.
-
-Each path also speaks the batched protocol: :meth:`AccessPath.iter_batches`
-produces page-aligned :class:`~repro.engine.executor.RowBatch` objects
-through a second shared kernel (:meth:`AccessPath._sweep_pages_batched`)
-that filters a whole page per Python-level iteration and charges counters
-per page run instead of per row -- same totals, far fewer interpreter
-operations.  Both kernels consume the same per-path page enumeration
-(:meth:`AccessPath._target_pages`), so the two protocols cannot drift.
+Every path streams batches: :meth:`AccessPath.iter_batches` is a generator
+built on one shared scan kernel (:meth:`AccessPath._sweep`: page sweep +
+compiled residual filter + counter charging) under an
+:class:`~repro.engine.executor.ExecutionContext` that carries the counters.
+The kernel filters a whole page per Python-level iteration and charges
+counters per page run instead of per row; under a LIMIT demand, or beneath
+an operator that interleaves its own I/O, it delivers rows exactly -- never
+past the demand, never reading ahead -- and charges examined rows only
+through the last row it delivered.  Each path contributes only its page
+enumeration (:meth:`AccessPath._target_pages`).
 
 Join operators reuse the same paths for their inner side:
 :class:`InnerPathBuilder` binds one outer row's join-key values into
@@ -44,46 +41,18 @@ queries against the inner table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import compress, count, islice, repeat
+from operator import is_
+from typing import Any, Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.correlation_map import CorrelationMap
 from repro.core.rewriter import QueryRewriter
-from repro.engine.executor import (
-    DEFAULT_BATCH_SIZE,
-    ExecutionContext,
-    RowBatch,
-    _chunk_rows,
-    _emit_batch,
-    _truncated_batches,
-    materialize,
-)
+from repro.engine.executor import DEFAULT_BATCH_SIZE, ExecutionContext, RowBatch
 from repro.engine.predicates import Between, Equals, InSet, PredicateSet
 from repro.engine.table import BUCKET_COLUMN, Table
 from repro.index.bitmap import PageBitmap
 from repro.index.secondary import SecondaryIndex
 from repro.storage.page import RID
-
-
-@dataclass
-class AccessResult:
-    """Rows produced by an access path plus its execution counters.
-
-    ``join_probes`` and ``rows_emitted`` mirror their
-    :class:`~repro.engine.executor.ExecutionCounters` fields so that join
-    EXPLAIN/ANALYZE-style reporting sees the probe work and the emission
-    count instead of under-reporting it (both are zero-filled for plain
-    single-table paths executed without a shared context).
-    """
-
-    rows: list[dict[str, Any]] = field(default_factory=list)
-    rows_examined: int = 0
-    pages_visited: int = 0
-    lookups: int = 0
-    join_probes: int = 0
-    rows_emitted: int = 0
-    rewritten_sql: str | None = None
 
 
 class AccessPath:
@@ -97,33 +66,14 @@ class AccessPath:
 
     # -- streaming interface ----------------------------------------------------
 
-    def iter_rows(self, context: ExecutionContext | None = None) -> Iterator[dict[str, Any]]:
-        """Stream matching rows, charging counters on ``context`` as they flow."""
-        context = context or ExecutionContext()
-        if context.limit_reached:
-            return
-        yield from self._stream(context)
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        yield from self._sweep_pages(self._target_pages(context), context)
-
-    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
-        """The heap pages this path sweeps, in sweep order.
-
-        The single per-path enumeration both scan kernels consume; any
-        upfront work (index probes, CM rewrites, descent charges) happens
-        here, once, whichever protocol drives the sweep.
-        """
-        raise NotImplementedError
-
     def iter_batches(
         self,
         context: ExecutionContext | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         demand: int | None = None,
         run_reads: bool = True,
-    ) -> Iterator[RowBatch]:
-        """Stream matching rows as page-aligned batches.
+    ) -> Generator[RowBatch, None, None]:
+        """Stream matching rows as batches, charging ``context``'s counters.
 
         Semantics of ``demand`` and ``run_reads`` follow
         :meth:`repro.engine.executor.PlanNode.iter_batches`.  Scan batches
@@ -131,11 +81,11 @@ class AccessPath:
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        context = context or ExecutionContext()
-        if context.limit_reached or (demand is not None and demand <= 0):
+        if demand is not None and demand <= 0:
             return
-        stream = self._stream_batches(context, batch_size, demand, run_reads)
-        yield from _truncated_batches(stream, demand)
+        yield from self._stream_batches(
+            context or ExecutionContext(), batch_size, demand, run_reads
+        )
 
     def _stream_batches(
         self,
@@ -144,20 +94,17 @@ class AccessPath:
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # A row budget, a finite demand or a context projection all carry
-        # per-row semantics: serve them through the row kernel (lazy
-        # production, batch delivery) so the accounting is the row path's
-        # by construction.
-        if (
-            demand is not None
-            or context.limit is not None
-            or context.projection is not None
-        ):
-            yield from _chunk_rows(self._stream(context), batch_size, demand)
-            return
-        yield from self._sweep_pages_batched(
-            self._target_pages(context), context, batch_size, run_reads
+        yield from self._sweep(
+            self._target_pages(context), context, batch_size, demand, run_reads
         )
+
+    def _target_pages(self, context: ExecutionContext) -> Iterable[int]:
+        """The heap pages this path sweeps, in sweep order.
+
+        Any upfront work (index probes, CM rewrites, descent charges)
+        happens here, once, when the sweep starts.
+        """
+        raise NotImplementedError
 
     def project_batches(
         self,
@@ -168,26 +115,22 @@ class AccessPath:
     ) -> Iterator[RowBatch]:
         """Fused scan→filter→project batch production.
 
-        Drives the batched sweep kernel with the projection folded into the
-        compiled per-page kernel (see
+        Drives the sweep kernel with the projection folded into the compiled
+        per-page kernel (see
         :meth:`~repro.engine.predicates.PredicateSet.batch_kernel`), so a
         ProjectNode sitting directly on a scan materialises no intermediate
-        full-width batch.  Only called on the vectorized path: ``context``
-        must carry no LIMIT budget or context-level projection.
+        full-width batch.  Only for full drains with read-ahead (no demand,
+        ``run_reads=True``): exact delivery locates rows by identity, which
+        projected copies no longer have.
         """
-        if context.limit_reached:
-            return
-        yield from self._sweep_pages_batched(
+        yield from self._sweep(
             self._target_pages(context),
             context,
             batch_size,
+            None,
             run_reads,
             project=tuple(columns),
         )
-
-    def execute(self, context: ExecutionContext | None = None) -> AccessResult:
-        """Materialise the stream into an :class:`AccessResult` (compatibility)."""
-        return materialize(self, context)
 
     def output_ordering(self) -> tuple[tuple[str, bool], ...]:
         """Columns the emitted stream is sorted by, as ``(column, ascending)``.
@@ -214,79 +157,44 @@ class AccessPath:
         only attaches a snapshot once a table holds versioned rows; the
         scheduler always attaches one, because versions may first appear
         *mid-scan* under concurrent writers, and unversioned rows pass the
-        filter trivially).  Both kernels apply the filter *after* charging
-        the row as examined and *before* the predicates: an invisible
-        version costs exactly what a non-matching row costs, in both
-        protocols, keeping the row/batch parity contract intact under MVCC.
+        filter trivially).  The kernels apply the filter *after* charging the
+        row as examined and *before* the predicates: an invisible version
+        costs exactly what a non-matching row costs, at every batch size.
         """
         snapshot = context.snapshot
         if snapshot is None:
             return None
         return snapshot.visible
 
-    def _sweep_pages(
-        self, pages: Iterable[int], context: ExecutionContext
-    ) -> Iterator[dict[str, Any]]:
-        """Page sweep + residual filter + counter charging (all sweep paths).
-
-        Pages are read through the buffer pool in the order given; every live
-        tuple is charged as examined and filtered with the full predicate set.
-        The sweep stops between rows and between pages once the LIMIT budget
-        is spent, so remaining pages are never read.
-        """
-        heap = self.table.heap
-        visible = self._visibility(context)
-        for page_no in pages:
-            if context.limit_reached:
-                return
-            page = heap.read_page(page_no)
-            context.counters.pages_visited += 1
-            examined = 0
-            try:
-                for _slot, row in page.live_rows():
-                    examined += 1
-                    context.counters.rows_examined += 1
-                    if visible is not None and not visible(row):
-                        continue
-                    if self.predicates.matches(row):
-                        yield context.emit(row)
-                        if context.limit_reached:
-                            break
-            finally:
-                # CPU is charged once per page (the counter is purely additive
-                # so the total matches per-tuple charging); the finally makes
-                # the charge land even when the consumer abandons the stream
-                # mid-page.
-                self._charge_cpu(examined)
-            if context.limit_reached:
-                return
-
-    def _sweep_pages_batched(
+    def _sweep(
         self,
         pages: Iterable[int],
         context: ExecutionContext,
         batch_size: int,
+        demand: int | None,
         run_reads: bool,
         project: tuple[str, ...] | None = None,
     ) -> Iterator[RowBatch]:
-        """Batched twin of :meth:`_sweep_pages`: filter a page per iteration.
+        """Page sweep + compiled residual filter + counter charging.
 
-        Pages are read in chunks sized to round ``batch_size`` up to whole
-        pages (page-aligned batches); each chunk of consecutive pages is
-        charged through one :meth:`~repro.storage.heap.HeapFile.read_pages`
-        run, each page's live tuples are filtered with one compiled
-        filter(+project) kernel pass, and the counters are bumped once per
-        page/chunk -- identical totals to the per-row kernel with a fraction
-        of its interpreter operations.
+        Every live tuple of a visited page is charged as examined and
+        filtered with the full predicate set by one compiled filter(+project)
+        kernel pass (``project`` makes each output a fresh dict of just those
+        columns; predicates still see the full rows).  Two delivery modes:
 
-        With ``project`` the kernel's output element is a fresh dict of just
-        those columns (the scan→filter→project fusion entry point,
-        :meth:`project_batches`); predicates still see the full rows.
-
-        With ``run_reads=False`` (the consumer interleaves its own I/O, e.g.
-        a probe join's inner lookups) the kernel reads and yields one page
-        at a time, preserving the exact read order -- and therefore the
-        sequential/random classification -- of the row-at-a-time sweep.
+        * **read-ahead** (no demand, ``run_reads=True``): pages are read in
+          chunks that round ``batch_size`` up to whole pages, each chunk of
+          consecutive pages charged through one
+          :meth:`~repro.storage.heap.HeapFile.read_pages` run, and batches
+          are page-aligned;
+        * **exact** (a demand, or ``run_reads=False``): one page at a time; a
+          batch holds at most ``batch_size`` rows and never more than the
+          remaining demand, and is delivered as soon as it is full, the
+          demand is met, or (``run_reads=False``) the page has no more
+          matches -- before any further I/O.  Rows are examined only through
+          the last row delivered; the rest of the page is examined when the
+          consumer pulls again.  CPU is charged per page, or on close through
+          the last row delivered, exactly as a row-at-a-time sweep charges.
         """
         heap = self.table.heap
         counters = context.counters
@@ -295,40 +203,79 @@ class AccessPath:
             kernel = self.predicates.batch_kernel(project)
         else:
             kernel = None
-        if run_reads:
-            pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
-        else:
+        exact = demand is not None or not run_reads
+        if exact:
             pages_per_chunk = 1
+        else:
+            pages_per_chunk = max(1, -(-batch_size // max(1, heap.tups_per_page)))
+        remaining = demand
         page_numbers = iter(pages)
         batch = RowBatch()
-        while True:
-            chunk = list(islice(page_numbers, pages_per_chunk))
-            if not chunk:
-                break
-            examined = 0
-            try:
+        examined = 0  # rows examined whose CPU is not charged yet
+        try:
+            while True:
+                chunk = list(islice(page_numbers, pages_per_chunk))
+                if not chunk:
+                    break
                 for page in heap.read_pages(chunk):
                     counters.pages_visited += 1
                     live = [row for row in page.slots if row is not None]
-                    examined += len(live)
-                    if visible is not None:
-                        live = [row for row in live if visible(row)]
-                    if kernel is None:
-                        batch.extend(live)
-                    else:
-                        batch.extend(kernel(live))
-            finally:
+                    if not exact:
+                        counters.rows_examined += len(live)
+                        examined += len(live)
+                    rows = live if visible is None else [r for r in live if visible(r)]
+                    matched = rows if kernel is None else kernel(rows)
+                    if not exact:
+                        batch.extend(matched)
+                        continue
+                    seen = 0  # rows of this page charged as examined
+                    start = 0
+                    while start < len(matched):
+                        room = batch_size - len(batch)
+                        if remaining is not None and remaining < room:
+                            room = remaining
+                        end = min(start + room, len(matched))
+                        batch.extend(matched[start:end])
+                        if remaining is not None:
+                            remaining -= end - start
+                        start = end
+                        if len(batch) < batch_size and remaining != 0 and run_reads:
+                            break
+                        through = (
+                            end
+                            if matched is live
+                            else _position_after(live, matched[end - 1], seen)
+                        )
+                        counters.rows_examined += through - seen
+                        examined += through - seen
+                        seen = through
+                        yield batch
+                        batch = RowBatch()
+                        if remaining == 0:
+                            return
+                    counters.rows_examined += len(live) - seen
+                    examined += len(live) - seen
                 if examined:
-                    counters.rows_examined += examined
                     self._charge_cpu(examined)
-            if len(batch) >= batch_size or (batch and not run_reads):
-                yield _emit_batch(context, batch)
-                batch = RowBatch()
+                    examined = 0
+                if len(batch) >= batch_size or (batch and not run_reads):
+                    yield batch
+                    batch = RowBatch()
+        finally:
+            if examined:
+                self._charge_cpu(examined)
         if batch:
-            yield _emit_batch(context, batch)
+            yield batch
 
     def _charge_cpu(self, rows_examined: int) -> None:
         self.table.buffer_pool.disk.charge_cpu_tuples(rows_examined)
+
+
+def _position_after(rows: list[Any], target: Any, start: int) -> int:
+    """One past the index of ``target`` in ``rows``, by identity, searching
+    from ``start`` (kernel outputs are the page's own row objects)."""
+    hits = map(is_, islice(rows, start, None), repeat(target))
+    return next(compress(count(start + 1), hits))
 
 
 class SeqScan(AccessPath):
@@ -431,27 +378,6 @@ class PipelinedIndexScan(AccessPath):
         super().__init__(table, predicates)
         self.index = index
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        rids, lookups = _probe_index(self.index, self.predicates)
-        context.counters.lookups += lookups
-        visible = self._visibility(context)
-        visited_pages: set[int] = set()
-        for rid in rids:
-            if context.limit_reached:
-                return
-            row = self.table.heap.fetch(rid)
-            if rid.page_no not in visited_pages:
-                visited_pages.add(rid.page_no)
-                context.counters.pages_visited += 1
-            if row is None:
-                continue
-            context.counters.rows_examined += 1
-            self._charge_cpu(1)
-            if visible is not None and not visible(row):
-                continue
-            if self.predicates.matches(row):
-                yield context.emit(row)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -459,26 +385,18 @@ class PipelinedIndexScan(AccessPath):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Per-tuple random fetches have no page runs to exploit; the batched
-        # variant only amortises delivery and counter charging.  Beneath an
-        # I/O-interleaving consumer (run_reads=False) fetches must alternate
-        # with the consumer's reads exactly as in the row pipeline, so fall
-        # back to chunked row production there.
-        if (
-            not run_reads
-            or demand is not None
-            or context.limit is not None
-            or context.projection is not None
-        ):
-            yield from _chunk_rows(self._stream(context), batch_size, demand)
-            return
+        # Per-tuple random fetches have no page runs to exploit; batching only
+        # amortises delivery and counter charging.  Every fetch is I/O, so
+        # beneath an interleaving consumer (run_reads=False) each match
+        # leaves before the next fetch, and a demand stops on its last match.
         rids, lookups = _probe_index(self.index, self.predicates)
-        context.counters.lookups += lookups
         counters = context.counters
+        counters.lookups += lookups
         heap = self.table.heap
         matches = self.predicates.matches
         visible = self._visibility(context)
         visited_pages: set[int] = set()
+        remaining = demand
         batch = RowBatch()
         examined = 0
         try:
@@ -492,18 +410,22 @@ class PipelinedIndexScan(AccessPath):
                 examined += 1
                 if (visible is None or visible(row)) and matches(row):
                     batch.append(row)
-                if len(batch) >= batch_size:
-                    counters.rows_examined += examined
-                    self._charge_cpu(examined)
-                    examined = 0
-                    yield _emit_batch(context, batch)
-                    batch = RowBatch()
+                    if remaining is not None:
+                        remaining -= 1
+                    if len(batch) >= batch_size or remaining == 0 or not run_reads:
+                        counters.rows_examined += examined
+                        self._charge_cpu(examined)
+                        examined = 0
+                        yield batch
+                        batch = RowBatch()
+                        if remaining == 0:
+                            return
         finally:
             if examined:
                 counters.rows_examined += examined
                 self._charge_cpu(examined)
         if batch:
-            yield _emit_batch(context, batch)
+            yield batch
 
     def project_batches(
         self,

@@ -83,16 +83,15 @@ class Database:
         buffer_pool_pages: int = DEFAULT_BUFFER_POOL_PAGES,
         stats_sample_size: int = DEFAULT_STATS_SAMPLE_SIZE,
         stats_refresh_ops: int | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be positive (or None for row-at-a-time)")
+        if not isinstance(batch_size, int) or batch_size < 1:
+            raise ValueError(f"batch_size must be a positive integer, not {batch_size!r}")
         self.disk = DiskModel(disk_params)
         #: Rows per batch pulled through the plan tree by :meth:`run_query`
-        #: (scans align batches to page boundaries).  ``None`` executes
-        #: row-at-a-time through ``iter_rows`` instead -- same results and
-        #: bit-identical simulated I/O statistics, more interpreter overhead
-        #: per row; the wall-clock benchmarks compare the two.
+        #: (scans align batches to page boundaries).  Results and every
+        #: simulated statistic are identical at any batch size; larger
+        #: batches only cost less interpreter overhead per row.
         self.batch_size = batch_size
         self.buffer_pool = BufferPool(self.disk, capacity_pages=buffer_pool_pages)
         self.wal = WriteAheadLog(self.disk)
@@ -235,9 +234,9 @@ class Database:
         strategy (:data:`repro.engine.planner.FORCE_JOIN_METHODS`).
         ``cold_cache=True`` empties the buffer pool first, matching the
         paper's methodology of dropping caches between measured runs.
-        ``limit``/``projection`` override the query's own values; a satisfied
-        LIMIT stops the plan's Limit node from pulling, which abandons every
-        upstream generator so the remaining heap pages are never read.
+        ``limit``/``projection`` override the query's own values; the plan's
+        Limit node hands its budget down as a demand, so the scans stop on the
+        exact row that meets it and the remaining heap pages are never read.
 
         ``snapshot`` pins the MVCC visibility state the scan kernels filter
         against; ``transaction`` reads under that transaction's own snapshot
@@ -288,15 +287,11 @@ class Database:
         return self._build_result(query, plan, rows, context, io)
 
     def _drain(self, plan: PlanNode, context: ExecutionContext) -> list[dict[str, Any]]:
-        """Pull every output row of ``plan``, batched or row-at-a-time.
+        """Pull every output row of ``plan`` at the database's batch size.
 
-        The batched pull is the default executor; rows leaving a scan-rooted
-        plan are live heap-page dicts, so they are copied here before
-        reaching callers -- exactly what the root context's ``emit`` does on
-        the row-at-a-time path.
+        Rows leaving a scan-rooted plan are live heap-page dicts, so they are
+        copied here before reaching callers.
         """
-        if self.batch_size is None:
-            return list(plan.iter_rows(context))
         rows: list[dict[str, Any]] = []
         extend = rows.extend
         if plan.produces_fresh_rows:
@@ -419,13 +414,15 @@ class Database:
     ) -> Iterator[dict[str, Any]]:
         """Plan a query and yield matching rows as they are produced.
 
-        Nothing is materialised: rows flow straight out of the plan's
-        generator pipeline -- for joins, merged rows are produced as the
-        outer scan and the inner probes interleave -- and abandoning the
-        iterator stops every stage (pages past the last consumed row are
-        never read).  A Sort/TopK in the plan buffers internally, but the
-        surface stays the same generator.  Aggregating queries are rejected
-        -- an aggregate needs the whole stream; use :meth:`run_query`.
+        Nothing is materialised: rows flow out of the plan one at a time
+        (:meth:`~repro.engine.executor.PlanNode.iter_rows`: batch size 1, no
+        read-ahead) -- for joins, merged rows are produced as the outer scan
+        and the inner probes interleave -- and abandoning the iterator stops
+        every stage (pages past the page of the last consumed row are never
+        read, rows past it are never examined).  A Sort/TopK in the plan
+        buffers internally, but the surface stays the same generator.
+        Aggregating queries are rejected -- an aggregate needs the whole
+        stream; use :meth:`run_query`.
         """
         if query.aggregate is not None:
             raise ValueError("stream() does not support aggregating queries")
@@ -463,8 +460,6 @@ class Database:
         if batch_size is not None and batch_size < 1:
             raise ValueError("batch_size must be positive")
         size = batch_size if batch_size is not None else self.batch_size
-        if size is None:
-            size = DEFAULT_BATCH_SIZE
         plan = self._prepare(
             query, force=force, force_join=force_join, limit=limit, projection=projection
         )

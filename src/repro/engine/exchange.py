@@ -36,6 +36,7 @@ exactly as it merged the live streams.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from math import ceil
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -48,8 +49,7 @@ from repro.engine.executor import (
     ExecutionContext,
     PlanNode,
     RowBatch,
-    _chunk_rows,
-    iter_batches_of,
+    chunked,
 )
 from repro.engine.plan import ExchangeNode, _ordering_text, sort_key_function
 
@@ -115,50 +115,20 @@ class MergeExchangeNode(ExchangeNode):
         self.partitions_scanned = len(self.sources)
 
     def _gather_parts(
-        self,
-        context: ExecutionContext,
-        batch_size: int | None = None,
-        run_reads: bool = True,
+        self, context: ExecutionContext, batch_size: int, run_reads: bool
     ) -> list[list[dict[str, Any]]]:
         """Drain every child fully, in ascending partition order."""
         parts: list[list[dict[str, Any]]] = []
         self.partitions_scanned = 0
         for source in self.sources:
             self.partitions_scanned += 1
-            if batch_size is None:
-                parts.append(list(source.iter_rows(context.child())))
-            else:
-                rows: list[dict[str, Any]] = []
-                for batch in iter_batches_of(
-                    source, context.child(), batch_size, None, run_reads
-                ):
-                    rows.extend(batch)
-                parts.append(rows)
+            rows: list[dict[str, Any]] = []
+            for batch in source.iter_batches(
+                context.child(), batch_size, None, run_reads
+            ):
+                rows.extend(batch)
+            parts.append(rows)
         return parts
-
-    def _merged(
-        self,
-        context: ExecutionContext,
-        parts: list[list[dict[str, Any]]],
-        fresh: bool,
-    ) -> Iterator[dict[str, Any]]:
-        key_of = sort_key_function(self.ordering)
-        emitted = 0
-        try:
-            for row in heapq.merge(*parts, key=key_of):
-                emitted += 1
-                yield context.emit(row, fresh=fresh)
-        finally:
-            if self.disk is not None and emitted:
-                self.disk.charge_cpu_tuples(
-                    int(merge_comparison_count(emitted, len(parts)))
-                )
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self._replay_parts is not None:
-            yield from self._merged(context, self._replay_parts, True)
-            return
-        yield from self._merged(context, self._gather_parts(context), False)
 
     def _stream_batches(
         self,
@@ -167,21 +137,26 @@ class MergeExchangeNode(ExchangeNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # A finite demand (LIMIT above), a context budget or a replay all
-        # keep the chunked row pipeline: the merge emits lazily either way,
-        # and the row path's early-close point is the reference semantics.
-        if (
-            context.limit is not None
-            or context.projection is not None
-            or demand is not None
-            or self._replay_parts is not None
-        ):
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
-        parts = self._gather_parts(context, batch_size, run_reads)
-        yield from _chunk_rows(self._merged(context, parts, False), batch_size)
+        # The children drain fully whatever the demand (they are blocking
+        # sorts); the demand only bounds how many rows the merge pops -- and
+        # the merge CPU charged for them.
+        if self._replay_parts is not None:
+            parts = self._replay_parts
+        else:
+            parts = self._gather_parts(context, batch_size, run_reads)
+        merged = heapq.merge(*parts, key=sort_key_function(self.ordering))
+        if demand is not None:
+            merged = islice(merged, demand)
+        emitted = 0
+        try:
+            while batch := RowBatch(islice(merged, batch_size)):
+                emitted += len(batch)
+                yield batch
+        finally:
+            if self.disk is not None and emitted:
+                self.disk.charge_cpu_tuples(
+                    int(merge_comparison_count(emitted, len(parts)))
+                )
 
     def describe_detail(self) -> str:
         return f"merge[{_ordering_text(self.ordering)}], " + super().describe_detail()
@@ -234,23 +209,30 @@ class BroadcastNode(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.source,) if self.source is not None else ()
 
-    def prepare(self, context: ExecutionContext) -> None:
+    def prepare(self, context: ExecutionContext, batch_size: int) -> None:
         """Fill the shared cache by draining the held source plan once."""
         if self._cache.rows is None and self.source is not None:
             self._cache.rows = [
-                dict(row) for row in self.source.iter_rows(context.child())
+                dict(row)
+                for batch in self.source.iter_batches(context.child(), batch_size)
+                for row in batch
             ]
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        self.prepare(context)
+    def _stream_batches(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        demand: int | None,
+        run_reads: bool,
+    ) -> Iterator[RowBatch]:
+        self.prepare(context, batch_size)
         rows = self._cache.rows
         if rows is None:
             raise RuntimeError(
                 "broadcast cache was never filled: the source-holding node "
                 "must run (or be prepared) first"
             )
-        for row in rows:
-            yield context.emit(row, fresh=True)
+        yield from chunked(rows, batch_size)
 
     def describe_detail(self) -> str:
         return f"{self.table_name} to all partitions"
@@ -325,7 +307,7 @@ class RepartitionNode(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.source,) if self.source is not None else ()
 
-    def prepare(self, context: ExecutionContext) -> None:
+    def prepare(self, context: ExecutionContext, batch_size: int) -> None:
         """Drain the source once, routing every row to its outer partition."""
         if self._cache.buckets is not None or self.source is None:
             return
@@ -335,9 +317,10 @@ class RepartitionNode(PlanNode):
             [] for _ in range(spec.num_partitions)
         ]
         count = 0
-        for row in self.source.iter_rows(context.child()):
-            buckets[spec.partition_of(row[column])].append(dict(row))
-            count += 1
+        for batch in self.source.iter_batches(context.child(), batch_size):
+            for row in batch:
+                buckets[spec.partition_of(row[column])].append(dict(row))
+            count += len(batch)
         if self.disk is not None:
             self.disk.charge_cpu_tuples(count)
             self.disk.charge_spill(
@@ -346,16 +329,21 @@ class RepartitionNode(PlanNode):
             )
         self._cache.buckets = buckets
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        self.prepare(context)
+    def _stream_batches(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        demand: int | None,
+        run_reads: bool,
+    ) -> Iterator[RowBatch]:
+        self.prepare(context, batch_size)
         buckets = self._cache.buckets
         if buckets is None:
             raise RuntimeError(
                 "repartition buckets were never filled: the source-holding "
                 "node must run (or be prepared) first"
             )
-        for row in buckets[self.partition_index]:
-            yield context.emit(row, fresh=True)
+        yield from chunked(buckets[self.partition_index], batch_size)
 
     def describe_detail(self) -> str:
         return (
@@ -364,7 +352,7 @@ class RepartitionNode(PlanNode):
         )
 
 
-def prepare_plan(root: PlanNode, context: ExecutionContext) -> None:
+def prepare_plan(root: PlanNode, context: ExecutionContext, batch_size: int) -> None:
     """Run every fill hook of the tree in the current process.
 
     Broadcast and repartition caches fill lazily on first pull, which is
@@ -377,4 +365,4 @@ def prepare_plan(root: PlanNode, context: ExecutionContext) -> None:
     for node in root.walk():
         prepare = getattr(node, "prepare", None)
         if prepare is not None:
-            prepare(context)
+            prepare(context, batch_size)

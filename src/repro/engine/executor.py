@@ -3,26 +3,49 @@
 Query execution runs a tree of :class:`PlanNode` operators (Volcano-style):
 leaf ``Scan`` nodes wrap access paths, join operators compose them into
 left-deep chains, and the pipeline decorators of :mod:`repro.engine.plan`
-(Sort, TopK, GroupBy, Aggregate, Limit, Project) sit on top.  Every node is
-a row source -- rows flow through generator-based ``iter_rows`` pipelines --
-and every node owns its *own* :class:`ExecutionCounters`, so an executed
-plan reports per-node actual rows and pages (the EXPLAIN ANALYZE surface)
-while :meth:`PlanNode.total_counters` folds the tree back into whole-query
-totals.
+(Sort, TopK, GroupBy, Aggregate, Limit, Project) sit on top.  Every node
+owns its *own* :class:`ExecutionCounters`, so an executed plan reports
+per-node actual rows and pages (the EXPLAIN ANALYZE surface) while
+:meth:`PlanNode.total_counters` folds the tree back into whole-query totals.
 
-An :class:`ExecutionContext` travels down the pipeline carrying the
-counters to charge, the (legacy, context-level) LIMIT budget, the output
-projection and the per-query shared state.  Two composition rules keep the
-accounting straight:
+**One protocol.**  A plan executes only through :meth:`PlanNode.iter_batches`:
+every operator has exactly one implementation, ``_stream_batches``, which
+pulls :class:`RowBatch` objects (plain lists of row dicts, default
+``batch_size`` :data:`DEFAULT_BATCH_SIZE`) from its inputs and yields its own.
+:meth:`PlanNode.iter_rows` is a flattening adapter over it for callers that
+want one row at a time (``Database.stream``).  Simulated statistics are
+*bit-identical* at every batch size -- batch size 1 delivers one row per batch
+and reproduces row-at-a-time execution exactly.  Three rules make that hold:
 
-* pulling from a *child node* goes through :meth:`PlanNode.iter_rows`,
-  which re-homes the context onto that node's counters
-  (:meth:`PlanNode.adopt`) -- the child's physical work lands on the child;
-* *intra-node* sub-pipelines (the per-outer-row probe paths of a nested-
-  loop join, a hash join's build scan) run under
-  :meth:`ExecutionContext.child` contexts that share the operator's
-  counters -- work that has no node of its own lands on the operator that
-  caused it (probe work is routed to the join's ``inner_probe`` leaf).
+* **demand**: a ``demand`` row budget flows down from
+  :class:`repro.engine.plan.LimitNode`.  A streaming node never delivers more
+  rows than the remaining demand, and it charges examined rows and CPU only
+  through the last row it delivered -- a LIMIT stops every scan on the exact
+  row, page and CPU charge of its last needed match.  A node that cannot pass
+  the demand to an input (probe, hash and merge joins) pulls that input at
+  batch size 1 without read-ahead, so the input still stops on its exact row.
+  Blocking nodes (Sort/TopK/Aggregate/GroupBy, a merge exchange's children)
+  ignore demand: they drain their input fully either way, and the
+  :meth:`PlanNode.iter_batches` wrapper caps what they emit.
+* **run_reads**: without a demand, scans read several consecutive heap pages
+  back-to-back (charged as one sequential run) and deliver page-aligned
+  batches.  An operator that interleaves its own I/O with a pull (a
+  :class:`ProbeJoin`'s outer input, and every input of an operator that is
+  itself pulled that way) passes ``run_reads=False``: the input then reads one
+  page at a time and delivers what it has before doing any further I/O, which
+  keeps the simulated head position -- and with it every sequential/random
+  classification -- identical to row-at-a-time order.
+* **batched charging**: per-page/per-batch counter increments replace
+  per-row ones, but only where the totals are provably equal (the counters
+  are purely additive).
+
+An :class:`ExecutionContext` travels down the pipeline carrying the counters
+to charge, the MVCC snapshot and the per-query shared state.  Pulling from a
+*child node* re-homes the context onto that node's counters
+(:meth:`PlanNode.adopt`); *intra-node* sub-pipelines (the per-outer-row probe
+paths of a nested-loop join, a hash join's build scan) run under
+:meth:`ExecutionContext.child` contexts that share the operator's counters --
+probe work is routed to the join's ``inner_probe`` leaf.
 
 Two join operator families exist:
 
@@ -33,44 +56,6 @@ Two join operator families exist:
   read the inner input once -- a hash-table build, or an ordered merge --
   and stream the other input through it, turning the quadratic unindexed
   fallback into O(N + M) page reads.
-
-**Batched dataflow.**  Besides the row-at-a-time ``iter_rows`` pipelines,
-every node speaks a batch-at-a-time protocol: :meth:`PlanNode.iter_batches`
-pulls :class:`RowBatch` objects (plain lists of row dicts, default
-``batch_size`` :data:`DEFAULT_BATCH_SIZE`) through the tree, which is what
-``Database(batch_size=...)`` executes by default.  Batching amortises the
-dominant interpreter overheads -- generator frame switches, per-row emit and
-counter calls -- while keeping every simulated-disk number *bit-identical*
-to the row-at-a-time path.  Three rules make that parity hold:
-
-* **demand**: a ``demand`` row budget flows down from :class:`repro.engine.
-  plan.LimitNode`.  An operator receiving a finite demand degrades to lazy
-  row-at-a-time production (chunking its own ``_stream``), so early
-  termination stops at exactly the same row, page and CPU charge as the
-  row pipeline; blocking operators (Sort/TopK/Aggregate/GroupBy) ignore
-  demand on their input side, exactly as they drain it fully either way.
-* **run_reads**: scans may read several consecutive heap pages back-to-back
-  (charged as one sequential run) only while no operator between them and
-  the consumer issues per-row I/O.  A :class:`ProbeJoin` pulls its outer
-  side with ``run_reads=False``, which keeps the simulated head position --
-  and with it every sequential/random classification -- identical to the
-  interleaved row-at-a-time order.
-* **batched charging**: per-page/per-batch counter increments replace
-  per-row ones, but only where the totals are provably equal (the counters
-  are purely additive).
-
-``iter_rows`` remains as the compatibility surface (``Database.stream``,
-bare access paths, hand-driven contexts) and as the reference semantics the
-batched path is tested against.
-
-LIMIT enforcement lives in the plan tree (:class:`repro.engine.plan.
-LimitNode` stops pulling once its budget is spent, which abandons every
-upstream generator mid-sweep so the remaining pages are never read); the
-context-level budget remains for access paths driven directly, outside a
-tree.
-
-``AccessResult`` (in :mod:`repro.engine.access`) remains as the materialised
-view of one finished execution for callers that want all rows at once.
 """
 
 from __future__ import annotations
@@ -81,6 +66,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Generator,
     Iterable,
     Iterator,
     Mapping,
@@ -90,12 +76,11 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.cost import CostSplit
-    from repro.engine.access import AccessResult
     from repro.engine.transactions import Snapshot
 
-#: Default number of rows per :class:`RowBatch` pulled through the batched
-#: executor (the ``Database(batch_size=...)`` default).  Scans align batches
-#: to page boundaries, so actual batches round up to whole pages.
+#: Default number of rows per :class:`RowBatch` pulled through the executor
+#: (the ``Database(batch_size=...)`` default).  Scans align batches to page
+#: boundaries, so actual batches round up to whole pages.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -104,10 +89,9 @@ class RowBatch(list):
 
     A plain ``list`` subclass (C-speed append/extend/iteration, no wrapper
     indirection on the hot path) whose type marks the batch boundary of the
-    set-at-a-time protocol.  Scan batches hold *live* heap-page dicts --
-    consumers that keep or mutate rows must copy them, exactly as with the
-    child-context rows of the row-at-a-time pipeline (``Database`` copies at
-    the plan root before handing rows to callers).
+    protocol.  Scan batches hold *live* heap-page dicts -- consumers that keep
+    or mutate rows must copy them (``Database`` copies at the plan root
+    before handing rows to callers).
 
     The row-dict view is the source of truth; per-column vectors are
     *lazily materialised* by :meth:`column`/:meth:`key_vector` with one
@@ -131,25 +115,30 @@ class RowBatch(list):
         return list(map(itemgetter(*columns), self))
 
 
+def chunked(rows: Sequence[dict[str, Any]], batch_size: int) -> Iterator[RowBatch]:
+    """Slice an already-materialised row list into batches."""
+    for start in range(0, len(rows), batch_size):
+        yield RowBatch(rows[start : start + batch_size])
+
+
 @dataclass(slots=True)
 class ExecutionCounters:
     """Counters charged by one plan node (or one standalone execution).
 
     Under a plan tree each node owns an instance, so per-node actual work is
     observable after a run; access paths executed outside a tree charge the
-    single instance their context carries, exactly as before.  ``slots=True``
-    because counter attribute bumps sit on the per-row/per-page hot path.
+    single instance their context carries.  ``slots=True`` because counter
+    attribute bumps sit on the per-page hot path.
     """
 
     rows_examined: int = 0
     pages_visited: int = 0
     lookups: int = 0
-    rows_emitted: int = 0
     #: Inner-path probes performed by join operators (one per outer row per
     #: join step).
     join_probes: int = 0
     #: Rows this node produced to its consumer (the EXPLAIN ANALYZE
-    #: ``actual rows``); maintained by :meth:`PlanNode.iter_rows`.
+    #: ``actual rows``); maintained by :meth:`PlanNode.iter_batches`.
     rows_out: int = 0
 
 
@@ -162,30 +151,9 @@ class SharedQueryState:
 
 @dataclass(slots=True)
 class ExecutionContext:
-    """Per-execution state threaded through a plan's row pipelines.
+    """Per-execution state threaded through a plan's pipelines."""
 
-    Parameters
-    ----------
-    limit:
-        Stop after emitting this many rows (``None`` = no limit).  The scan
-        kernel checks the budget between rows and between pages, so a
-        satisfied LIMIT never sweeps the remaining pages; join operators
-        additionally stop pulling outer rows.
-    projection:
-        Columns to keep in emitted rows (``None`` = whole row).  Projection
-        happens at emission time so residual predicates still see every
-        column.
-    count_output:
-        Whether :meth:`emit` counts towards ``counters.rows_emitted``.  True
-        for the root context; child contexts (see :meth:`child`) disable it
-        so that intermediate rows flowing into a join operator do not distort
-        the root's LIMIT accounting.
-    """
-
-    limit: int | None = None
-    projection: tuple[str, ...] | None = None
     counters: ExecutionCounters = field(default_factory=ExecutionCounters)
-    count_output: bool = True
     #: False on join inner-probe contexts, whose rewritten SQL nobody reads
     #: -- lets the CM scan skip rendering it once per probe.
     report_rewritten_sql: bool = True
@@ -197,12 +165,6 @@ class ExecutionContext:
     #: query and inherited by every child/adopted context so all scans of
     #: one execution -- including join inner probes -- see the same state.
     snapshot: "Snapshot | None" = None
-
-    def __post_init__(self) -> None:
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("limit must be non-negative")
-        if self.projection is not None:
-            self.projection = tuple(self.projection)
 
     @property
     def rewritten_sql(self) -> str | None:
@@ -219,79 +181,11 @@ class ExecutionContext:
         The child shares the parent's :class:`ExecutionCounters` (work of an
         intra-node pipeline lands on the operator that caused it; a child
         *node* re-homes the context onto its own counters via
-        :meth:`PlanNode.adopt`), but it carries no LIMIT budget (the parent
-        decides when to stop pulling), no projection (the parent needs whole
-        rows to merge), and its emissions do not count as output rows.
+        :meth:`PlanNode.adopt`).
         """
         return ExecutionContext(
-            counters=self.counters,
-            count_output=False,
-            shared=self.shared,
-            snapshot=self.snapshot,
+            counters=self.counters, shared=self.shared, snapshot=self.snapshot
         )
-
-    @property
-    def limit_reached(self) -> bool:
-        return self.limit is not None and self.counters.rows_emitted >= self.limit
-
-    def emit(self, row: Mapping[str, Any], *, fresh: bool = False) -> dict[str, Any]:
-        """Count one output row and apply the projection.
-
-        Root contexts copy the row: emitted rows reach callers (``stream``,
-        ``QueryResult.rows``) who may mutate them, and handing out the live
-        heap-page dict would corrupt the page, the indexes built over it and
-        the statistics sample.  Join operators pass ``fresh=True`` because
-        their merged ``{**outer, **inner}`` dict is already a private copy,
-        skipping a second per-row copy on the output hot path.  Child
-        contexts skip the copy too -- their rows only feed a parent
-        operator, which builds a fresh merged dict anyway.
-        """
-        if self.count_output:
-            self.counters.rows_emitted += 1
-            if self.projection is None:
-                return row if fresh and isinstance(row, dict) else dict(row)
-        if self.projection is None:
-            return row if isinstance(row, dict) else dict(row)
-        return {column: row[column] for column in self.projection}
-
-
-def _chunk_rows(
-    rows: Iterator[dict[str, Any]],
-    batch_size: int,
-    demand: int | None = None,
-) -> Iterator[RowBatch]:
-    """Deliver a row iterator as batches, pulling at most ``demand`` rows.
-
-    The compatibility bridge between the two protocols: rows are produced
-    lazily by the underlying generator (so its accounting -- page reads, CPU
-    charges, early-termination points -- is exactly the row-at-a-time
-    pipeline's) and only *delivered* in batches.  The source generator is
-    closed deterministically when the budget is met or the consumer stops,
-    which runs the upstream ``finally`` charges just as abandoning an
-    ``iter_rows`` pipeline does.
-    """
-    remaining = demand
-    close = getattr(rows, "close", None)
-    try:
-        if remaining is not None and remaining <= 0:
-            return
-        batch = RowBatch()
-        append = batch.append
-        for row in rows:
-            append(row)
-            if remaining is not None:
-                remaining -= 1
-                if remaining <= 0:
-                    break
-            if len(batch) >= batch_size:
-                yield batch
-                batch = RowBatch()
-                append = batch.append
-        if batch:
-            yield batch
-    finally:
-        if close is not None:
-            close()
 
 
 def _truncated_batches(
@@ -299,11 +193,10 @@ def _truncated_batches(
 ) -> Iterator[RowBatch]:
     """Guard a batch stream: drop empties, cap total rows at ``demand``.
 
-    Central enforcement point shared by every ``iter_batches`` wrapper: a
-    blocking node (Sort, TopK, GroupBy) can ignore its demand entirely --
-    its full internal work matches the row-at-a-time pipeline anyway -- and
-    still never over-produce, so per-node ``rows_out`` stays identical to
-    what a row-at-a-time consumer would have pulled.
+    The enforcement point of :meth:`PlanNode.iter_batches`: a blocking node
+    (Sort, TopK, GroupBy) ignores its demand -- its full internal work is the
+    same either way -- and still never over-produces, so per-node
+    ``rows_out`` counts exactly the rows the consumer took.
     """
     produced = 0
     try:
@@ -322,39 +215,8 @@ def _truncated_batches(
             close()
 
 
-def _emit_batch(context: ExecutionContext, batch: RowBatch) -> RowBatch:
-    """Batch-level twin of :meth:`ExecutionContext.emit` for vectorized nodes.
-
-    Vectorized ``_stream_batches`` implementations only run when the context
-    carries no projection and no row budget (anything else falls back to the
-    chunked row pipeline), so emission parity reduces to the output count.
-    """
-    if context.count_output:
-        context.counters.rows_emitted += len(batch)
-    return batch
-
-
-def iter_batches_of(
-    source: "RowSource",
-    context: ExecutionContext,
-    batch_size: int,
-    demand: int | None = None,
-    run_reads: bool = True,
-) -> Iterator[RowBatch]:
-    """Pull batches from any row source, falling back to chunked rows.
-
-    Plan nodes and access paths implement ``iter_batches`` natively; any
-    other :class:`RowSource` is served through :func:`_chunk_rows` over its
-    ``iter_rows`` pipeline.
-    """
-    method = getattr(source, "iter_batches", None)
-    if method is not None:
-        return method(context, batch_size, demand, run_reads)
-    return _chunk_rows(source.iter_rows(context), batch_size, demand)
-
-
 class RowSource(Protocol):
-    """Anything that can stream rows under an :class:`ExecutionContext`.
+    """Anything that streams batches under an :class:`ExecutionContext`.
 
     Access paths and plan nodes both satisfy this protocol, which is what
     lets join operators nest into left-deep chains.
@@ -362,9 +224,30 @@ class RowSource(Protocol):
 
     name: str
 
-    def iter_rows(
-        self, context: ExecutionContext | None = None
-    ) -> Iterator[dict[str, Any]]: ...  # pragma: no cover - protocol
+    def iter_batches(
+        self,
+        context: ExecutionContext | None = None,
+        batch_size: int = DEFAULT_BATCH_SIZE,
+        demand: int | None = None,
+        run_reads: bool = True,
+    ) -> Generator[RowBatch, None, None]: ...  # pragma: no cover - protocol
+
+
+def _one_at_a_time(
+    source: RowSource, context: ExecutionContext | None
+) -> Generator[Mapping[str, Any], None, None]:
+    """``source``'s rows pulled at batch size 1 without read-ahead.
+
+    For consumers that may stop after any row and cannot tell the source in
+    advance (the lazy sides of a merge join): the source then never examines
+    a row, or reads a page, beyond the last row consumed.
+    """
+    batches = source.iter_batches(context, 1, None, False)
+    try:
+        for batch in batches:
+            yield from batch
+    finally:
+        batches.close()
 
 
 class PlanNode:
@@ -372,7 +255,7 @@ class PlanNode:
 
     Every node is a row source with two faces:
 
-    * an *execution* face: :meth:`iter_rows` streams the node's output rows,
+    * an *execution* face: :meth:`iter_batches` streams the node's output,
       charging physical work to the node's own :attr:`actual` counters (the
       context is re-homed via :meth:`adopt`, so a parent pulling from a
       child automatically attributes the child's work to the child);
@@ -392,8 +275,8 @@ class PlanNode:
     #: ``method`` of a decorated plan is the underlying scan's or join's.
     is_decorator = False
     #: Whether rows leaving this node are private dicts.  False only for
-    #: scans, whose rows are live heap-page dicts: whoever emits them to a
-    #: caller must copy first (``ExecutionContext.emit`` handles it).
+    #: scans, whose rows are live heap-page dicts: whoever hands them to a
+    #: caller must copy first.
     produces_fresh_rows = True
 
     __slots__ = (
@@ -421,50 +304,36 @@ class PlanNode:
 
     # -- streaming interface --------------------------------------------------
 
-    def iter_rows(
-        self, context: ExecutionContext | None = None
-    ) -> Iterator[dict[str, Any]]:
-        """Stream output rows, charging this node's :attr:`actual` counters."""
-        context = self.adopt(context or ExecutionContext())
-        if context.limit_reached:
-            return
-        for row in self._stream(context):
-            self.actual.rows_out += 1
-            yield row
-
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        raise NotImplementedError
-
     def iter_batches(
         self,
         context: ExecutionContext | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         demand: int | None = None,
         run_reads: bool = True,
-    ) -> Iterator[RowBatch]:
-        """Stream output as :class:`RowBatch` objects (the batched protocol).
+    ) -> Generator[RowBatch, None, None]:
+        """Stream output as :class:`RowBatch` objects, charging :attr:`actual`.
 
         Parameters
         ----------
         batch_size:
             Target rows per batch.  Page-producing scans align batches to
-            page boundaries, so batches may round up to whole pages.
+            page boundaries unless a demand or ``run_reads=False`` asks for
+            exact delivery; batch size 1 then delivers one row per batch.
         demand:
             Upper bound on the total rows the consumer will take (set by
-            ``LimitNode``).  A finite demand makes streaming operators
-            degrade to lazy row-at-a-time production so early termination
-            charges exactly what the row pipeline would; the wrapper also
-            hard-truncates, so no node ever over-reports ``rows_out``.
+            ``LimitNode``).  Streaming nodes stop on the exact row that meets
+            it; the wrapper also hard-truncates, so no node ever over-reports
+            ``rows_out``.
         run_reads:
-            Whether multi-page read-ahead runs are allowed beneath this
-            pull.  Operators that interleave their own I/O with the pull
-            (tuple-at-a-time probe joins) pass ``False`` so the simulated
-            head position stays identical to the row-at-a-time order.
+            Whether multi-page read-ahead is allowed beneath this pull.
+            Operators that interleave their own I/O with the pull pass
+            ``False`` so the simulated head position stays identical to
+            row-at-a-time order.
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         context = self.adopt(context or ExecutionContext())
-        if context.limit_reached or (demand is not None and demand <= 0):
+        if demand is not None and demand <= 0:
             return
         actual = self.actual
         stream = self._stream_batches(context, batch_size, demand, run_reads)
@@ -479,49 +348,37 @@ class PlanNode:
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        """Default batch production: chunk this node's row pipeline.
+        raise NotImplementedError
 
-        Exact row-at-a-time accounting by construction -- rows are produced
-        lazily by ``_stream`` (whose ``context.emit`` calls handle output
-        counting and projection) and only delivered in batches.  Hot
-        operators override this with vectorized implementations gated to
-        the cases whose accounting they reproduce; everything else -- and
-        every demand-limited pull -- lands here.
+    def iter_rows(
+        self, context: ExecutionContext | None = None
+    ) -> Iterator[dict[str, Any]]:
+        """The rows of :meth:`iter_batches`, one at a time, as private copies.
+
+        A flattening adapter pulling at batch size 1 without read-ahead
+        (:func:`_one_at_a_time`), which keeps production as lazy as the plan
+        allows: abandoning the iterator leaves every page past the page of
+        the last consumed row unread, and charges examined rows and CPU only
+        through that row.
         """
-        yield from _chunk_rows(self._stream(context), batch_size, demand)
-
-    def _vectorizable(
-        self, context: ExecutionContext, demand: int | None
-    ) -> bool:
-        """Whether a vectorized override may run under this context.
-
-        A finite demand, a context-level row budget or a context projection
-        all carry per-row semantics the vectorized paths do not replicate;
-        overrides fall back to the chunked row pipeline for them.
-        """
-        return (
-            demand is None
-            and context.limit is None
-            and context.projection is None
-        )
+        rows = _one_at_a_time(self, context)
+        copy = not self.produces_fresh_rows
+        try:
+            for row in rows:
+                yield dict(row) if copy else row
+        finally:
+            rows.close()
 
     def adopt(self, context: ExecutionContext) -> ExecutionContext:
-        """``context`` re-homed onto this node's counters (same budget/flags)."""
+        """``context`` re-homed onto this node's counters (same flags)."""
         if context.counters is self.actual:
             return context
         return ExecutionContext(
-            limit=context.limit,
-            projection=context.projection,
             counters=self.actual,
-            count_output=context.count_output,
             report_rewritten_sql=context.report_rewritten_sql,
             shared=context.shared,
             snapshot=context.snapshot,
         )
-
-    def execute(self, context: ExecutionContext | None = None) -> "AccessResult":
-        """Materialise the stream into an :class:`AccessResult` (compatibility)."""
-        return materialize(self, context)
 
     # -- tree structure -------------------------------------------------------
 
@@ -536,7 +393,7 @@ class PlanNode:
             yield from child.walk()
 
     def total_counters(self) -> ExecutionCounters:
-        """Whole-subtree totals (the old shared-counter view of a run)."""
+        """Whole-subtree totals (``rows_out`` is this node's own output)."""
         total = ExecutionCounters()
         for node in self.walk():
             total.rows_examined += node.actual.rows_examined
@@ -544,7 +401,6 @@ class PlanNode:
             total.lookups += node.actual.lookups
             total.join_probes += node.actual.join_probes
         total.rows_out = self.actual.rows_out
-        total.rows_emitted = self.actual.rows_out
         return total
 
     # -- planner-facing views -------------------------------------------------
@@ -605,9 +461,6 @@ class ScanNode(PlanNode):
         """The scanned table (lets shared CPU-charging helpers reach the disk)."""
         return self.path.table  # type: ignore[attr-defined]
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        yield from self.path.iter_rows(context)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -618,11 +471,9 @@ class ScanNode(PlanNode):
         # Delegate to the access path's own batch production (bypassing its
         # public wrapper: truncation and rows_out accounting happen once, in
         # this node's iter_batches).
-        inner = getattr(self.path, "_stream_batches", None)
-        if inner is None:
-            yield from _chunk_rows(self.path.iter_rows(context), batch_size, demand)
-        else:
-            yield from inner(context, batch_size, demand, run_reads)
+        yield from self.path._stream_batches(  # type: ignore[attr-defined]
+            context, batch_size, demand, run_reads
+        )
 
     def label(self) -> str:
         table = getattr(self.path, "table", None)
@@ -649,7 +500,13 @@ class ProbeNode(PlanNode):
         super().__init__()
         self.probe = probe
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
+    def _stream_batches(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        demand: int | None,
+        run_reads: bool,
+    ) -> Iterator[RowBatch]:
         raise RuntimeError(
             "probe nodes are driven per outer row by their join operator"
         )
@@ -658,42 +515,12 @@ class ProbeNode(PlanNode):
         return f"{self.name}({self.probe.describe()})"
 
 
-def materialize(
-    source: "RowSource", context: ExecutionContext | None = None
-) -> AccessResult:
-    """Drain a row source into an :class:`~repro.engine.access.AccessResult`.
-
-    The one place the stream-to-materialised conversion lives: both
-    :meth:`AccessPath.execute` and :meth:`PlanNode.execute` delegate here,
-    so a counter added to ``AccessResult`` is wired up exactly once.  Plan
-    nodes report their whole-subtree totals; bare access paths report the
-    context's counters, as before.
-    """
-    from repro.engine.access import AccessResult
-
-    context = context or ExecutionContext()
-    rows = list(source.iter_rows(context))
-    if isinstance(source, PlanNode):
-        counters = source.total_counters()
-    else:
-        counters = context.counters
-    return AccessResult(
-        rows=rows,
-        rows_examined=counters.rows_examined,
-        pages_visited=counters.pages_visited,
-        lookups=counters.lookups,
-        join_probes=counters.join_probes,
-        rows_emitted=counters.rows_emitted,
-        rewritten_sql=context.rewritten_sql,
-    )
-
-
 class JoinOperator(PlanNode):
     """Base streaming equi-join operator: a plan node over an outer input.
 
     ``source`` is the outer input (a plan node, or a bare access path when
-    composed by hand).  Subclasses implement :meth:`_stream`, pulling from
-    the outer source -- whose work, when it is a node, lands on its own
+    composed by hand).  Subclasses implement :meth:`_stream_batches`, pulling
+    from the outer source -- whose work, when it is a node, lands on its own
     counters -- and from whatever inner input they own; intra-operator
     pipelines run under :meth:`ExecutionContext.child` contexts, so their
     work lands on this operator (or on its inner leaf node).
@@ -761,18 +588,6 @@ class ProbeJoin(JoinOperator):
         #: Leaf node accumulating the per-probe inner-path work.
         self.inner = ProbeNode(probe)
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        for outer_row in self.source.iter_rows(context.child()):
-            context.counters.join_probes += 1
-            inner_path = self.probe.bind(outer_row)
-            inner_context = self.inner.adopt(context.child())
-            inner_context.report_rewritten_sql = False
-            for inner_row in inner_path.iter_rows(inner_context):
-                self.inner.actual.rows_out += 1
-                yield context.emit({**outer_row, **inner_row}, fresh=True)
-                if context.limit_reached:
-                    return
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -780,43 +595,44 @@ class ProbeJoin(JoinOperator):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Probing issues inner-path I/O per outer row, so this operator is
-        # itself an interleaver: with a finite demand the chunked row
-        # pipeline preserves the exact early-termination point, and beneath
-        # *another* probe join (run_reads=False) it preserves the exact
-        # outer/inner read interleaving.  The full-drain top-level case --
-        # the hot one -- runs vectorized: outer rows arrive in page-aligned
-        # batches (pulled with run_reads=False, because this operator's
-        # probes interleave with the outer sweep), each probe reuses one
-        # inner context, and merged rows leave in batches.
-        if not run_reads or not self._vectorizable(context, demand):
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
+        # Probes issue inner-path I/O per outer row, so the outer side is
+        # always pulled without read-ahead (one page per batch) -- and, under
+        # a demand, at batch size 1, so the outer sweep stops on the exact
+        # row whose probe met it.  Each probe receives the remaining demand
+        # itself.  Pulled with run_reads=False (beneath another interleaving
+        # operator), merged rows leave after every inner batch, before this
+        # operator does any further I/O.
         counters = context.counters
-        inner_node = self.inner
-        inner_counters = inner_node.actual
-        inner_context = inner_node.adopt(context.child())
+        inner_counters = self.inner.actual
+        inner_context = self.inner.adopt(context.child())
         inner_context.report_rewritten_sql = False
         bind = self.probe.bind
+        remaining = demand
+        outer_size = batch_size if demand is None else 1
         out = RowBatch()
-        for outer_batch in iter_batches_of(
-            self.source, context.child(), batch_size, None, False
+        for outer_batch in self.source.iter_batches(
+            context.child(), outer_size, None, False
         ):
             counters.join_probes += len(outer_batch)
             for outer_row in outer_batch:
-                matched = 0
-                for inner_row in bind(outer_row).iter_rows(inner_context):
-                    matched += 1
-                    out.append({**outer_row, **inner_row})
-                if matched:
-                    inner_counters.rows_out += matched
+                for inner_batch in bind(outer_row).iter_batches(
+                    inner_context, batch_size, remaining, run_reads
+                ):
+                    inner_counters.rows_out += len(inner_batch)
+                    out.extend([{**outer_row, **row} for row in inner_batch])
+                    if remaining is not None:
+                        remaining -= len(inner_batch)
+                        if remaining <= 0:
+                            yield out
+                            return
+                    if not run_reads:
+                        yield out
+                        out = RowBatch()
             if len(out) >= batch_size:
-                yield _emit_batch(context, out)
+                yield out
                 out = RowBatch()
         if out:
-            yield _emit_batch(context, out)
+            yield out
 
     def describe_detail(self) -> str:
         return self.probe.describe()
@@ -996,49 +812,6 @@ class HashJoin(JoinOperator):
         self._outer_key = _key_getter([outer for outer, _inner in self.join_on])
         self._inner_key = _key_getter([inner for _outer, inner in self.join_on])
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        # One implementation for both orientations: only which input builds,
-        # which key extracts, and the outer/inner roles of the merged dict
-        # depend on the build side.  Per-probe rewritten SQL is suppressed on
-        # whichever role the inner path plays (nobody reads it there).
-        build_inner = self.build_side == "inner"
-        build_source = self.inner_path if build_inner else self.source
-        probe_source = self.source if build_inner else self.inner_path
-        build_key = self._inner_key if build_inner else self._outer_key
-        probe_key = self._outer_key if build_inner else self._inner_key
-
-        build_context = context.child()
-        if build_inner:
-            build_context.report_rewritten_sql = False
-        table: dict[tuple[Any, ...], list[Mapping[str, Any]]] = {}
-        build_rows = 0
-        try:
-            for row in build_source.iter_rows(build_context):
-                table.setdefault(build_key(row), []).append(row)
-                build_rows += 1
-        finally:
-            _charge_cpu(self.inner_path, build_rows)
-        if not table:
-            return  # empty build side: never pull a single probe row
-
-        probe_context = context.child()
-        if not build_inner:
-            probe_context.report_rewritten_sql = False
-        probe_rows = 0
-        try:
-            for probe_row in probe_source.iter_rows(probe_context):
-                context.counters.join_probes += 1
-                probe_rows += 1
-                for matched in table.get(probe_key(probe_row), ()):
-                    outer_row, inner_row = (
-                        (probe_row, matched) if build_inner else (matched, probe_row)
-                    )
-                    yield context.emit({**outer_row, **inner_row}, fresh=True)
-                    if context.limit_reached:
-                        return
-        finally:
-            _charge_cpu(self.inner_path, probe_rows)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -1046,18 +819,14 @@ class HashJoin(JoinOperator):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # The hash table itself issues no I/O, so batching reorders nothing:
-        # the build side drains fully before the first probe in both
-        # protocols, and probe-side page reads interleave only with memory
-        # work.  run_reads is forwarded unchanged -- beneath a probe join the
-        # inputs degrade to page-at-a-time reads, keeping the simulated head
-        # movement identical.  A finite demand (LIMIT above) falls back to
-        # the chunked row pipeline for its exact mid-probe stop.
-        if not self._vectorizable(context, demand):
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
+        # One implementation for both orientations: only which input builds,
+        # which key extracts, and the outer/inner roles of the merged dict
+        # depend on the build side.  Per-probe rewritten SQL is suppressed on
+        # whichever role the inner path plays (nobody reads it there).  The
+        # hash table issues no I/O, so the build drains fully before the
+        # first probe at any batch size.  Under a demand the probe side is
+        # pulled one row at a time without read-ahead, so it stops on the
+        # exact probe row that met the demand.
         build_inner = self.build_side == "inner"
         build_source = self.inner_path if build_inner else self.source
         probe_source = self.source if build_inner else self.inner_path
@@ -1071,8 +840,8 @@ class HashJoin(JoinOperator):
         setdefault = table.setdefault
         build_rows = 0
         try:
-            for batch in iter_batches_of(
-                build_source, build_context, batch_size, None, run_reads
+            for batch in build_source.iter_batches(
+                build_context, batch_size, None, run_reads
             ):
                 build_rows += len(batch)
                 # Keys for the whole batch come from one C-level map pass;
@@ -1087,43 +856,52 @@ class HashJoin(JoinOperator):
         probe_context = context.child()
         if not build_inner:
             probe_context.report_rewritten_sql = False
+        if demand is None:
+            probe_batches = probe_source.iter_batches(
+                probe_context, batch_size, None, run_reads
+            )
+        else:
+            probe_batches = probe_source.iter_batches(probe_context, 1, None, False)
         counters = context.counters
         get = table.get
         empty: tuple = ()
+        remaining = demand
         probe_rows = 0
         out = RowBatch()
         try:
-            for batch in iter_batches_of(
-                probe_source, probe_context, batch_size, None, run_reads
-            ):
+            for batch in probe_batches:
                 probe_rows += len(batch)
                 counters.join_probes += len(batch)
                 # One C-driven comprehension per probe batch: key extraction
                 # (itemgetter), hash lookup and dict merge all run without a
                 # per-row interpreter frame.
                 if build_inner:
-                    out.extend(
-                        [
-                            {**probe_row, **inner_row}
-                            for probe_row, key in zip(batch, map(probe_key, batch))
-                            for inner_row in get(key, empty)
-                        ]
-                    )
+                    merged = [
+                        {**probe_row, **inner_row}
+                        for probe_row, key in zip(batch, map(probe_key, batch))
+                        for inner_row in get(key, empty)
+                    ]
                 else:
-                    out.extend(
-                        [
-                            {**outer_row, **probe_row}
-                            for probe_row, key in zip(batch, map(probe_key, batch))
-                            for outer_row in get(key, empty)
-                        ]
-                    )
-                if len(out) >= batch_size:
-                    yield _emit_batch(context, out)
+                    merged = [
+                        {**outer_row, **probe_row}
+                        for probe_row, key in zip(batch, map(probe_key, batch))
+                        for outer_row in get(key, empty)
+                    ]
+                if remaining is not None and len(merged) >= remaining:
+                    out.extend(merged[:remaining])
+                    yield out
+                    return
+                out.extend(merged)
+                if remaining is not None:
+                    remaining -= len(merged)
+                if len(out) >= batch_size or (out and not run_reads):
+                    yield out
                     out = RowBatch()
         finally:
+            probe_batches.close()
             _charge_cpu(self.inner_path, probe_rows)
         if out:
-            yield _emit_batch(context, out)
+            yield out
 
     def describe_detail(self) -> str:
         keys = ", ".join(inner for _outer, inner in self.join_on)
@@ -1148,16 +926,15 @@ class SortMergeJoin(JoinOperator):
     Duplicate keys merge as group cross-products, so all-duplicate inputs
     degrade gracefully to the full cartesian block rather than losing rows.
 
-    Under the batched protocol the common both-sides-materialised case runs
-    a columnar merge (:meth:`_stream_batches`): all I/O happens in two full
-    upfront drains -- outer first, inner only once the outer proved
-    non-empty, exactly as in the row pipeline -- so the merge interior is
-    pure memory work, free to run over sorted key vectors with ``groupby``
-    and ``bisect`` instead of per-row key construction.  A *pre-sorted*
-    (lazy) side keeps the chunked row production instead: a lazy merge
-    interleaves outer and inner page reads row by row, and may abandon the
-    outer sweep the moment the inner side is exhausted -- both behaviours a
-    vectorized read-ahead could not reproduce bit-identically.
+    The common both-sides-materialised case runs a columnar merge
+    (:meth:`_stream_batches`): all I/O happens in two full upfront drains --
+    outer first, inner only once the outer proved non-empty -- so the merge
+    interior is pure memory work, free to run over sorted key vectors with
+    ``groupby`` and ``bisect`` instead of per-row key construction.  A
+    *pre-sorted* (lazy) side merges row by row instead (:meth:`_lazy_merge`):
+    a lazy merge interleaves outer and inner page reads row by row, and may
+    abandon the outer sweep the moment the inner side is exhausted -- both
+    behaviours a read-ahead could not reproduce bit-identically.
     """
 
     name = "sort_merge_join"
@@ -1196,36 +973,6 @@ class SortMergeJoin(JoinOperator):
             [inner for _outer, inner in self.join_on]
         )
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        outer_rows: Iterable[Mapping[str, Any]]
-        if self.outer_sorted:
-            # Lazy: the outer already streams in key order, so the merge
-            # pulls outer rows on demand and a satisfied LIMIT stops the
-            # outer sweep exactly as the probe joins do.
-            outer_rows = self.source.iter_rows(context.child())
-        else:
-            outer_rows = sorted(
-                self.source.iter_rows(context.child()), key=self._outer_key
-            )
-            if not outer_rows:
-                return  # nothing to merge: the inner is never read
-            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(outer_rows)))
-        inner_context = context.child()
-        inner_context.report_rewritten_sql = False
-
-        def inner_in_key_order() -> Iterator[Mapping[str, Any]]:
-            if self.inner_sorted:
-                # Heap order is key order: pull inner pages on demand,
-                # so early termination leaves the rest unread.
-                return self.inner_path.iter_rows(inner_context)
-            rows = sorted(
-                self.inner_path.iter_rows(inner_context), key=self._inner_key
-            )
-            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(rows)))
-            return iter(rows)
-
-        yield from self._merge(outer_rows, inner_in_key_order, context)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -1233,27 +980,19 @@ class SortMergeJoin(JoinOperator):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Vectorized only when both inputs get materialised and sorted in
-        # memory: the I/O then happens in two full upfront drains with
-        # nothing interleaved, so batching the reads and running the merge
-        # columnar changes no simulated number.  A lazy pre-sorted side, a
-        # finite demand or a context budget all keep the chunked row
-        # pipeline (see the class docstring).
-        if (
-            self.inner_sorted
-            or self.outer_sorted
-            or not self._vectorizable(context, demand)
-        ):
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
+        # Columnar when both inputs get materialised and sorted in memory:
+        # the I/O then happens in two full upfront drains with nothing
+        # interleaved, so the merge interior is pure memory work.  A lazy
+        # pre-sorted side keeps the row-wise merge (see the class docstring).
+        if self.inner_sorted or self.outer_sorted:
+            yield from self._lazy_merge(context, batch_size, demand, run_reads)
             return
         from bisect import bisect_left, bisect_right
         from itertools import groupby
 
         outer_rows: list[Mapping[str, Any]] = []
-        for batch in iter_batches_of(
-            self.source, context.child(), batch_size, None, run_reads
+        for batch in self.source.iter_batches(
+            context.child(), batch_size, None, run_reads
         ):
             outer_rows.extend(batch)
         if not outer_rows:
@@ -1266,8 +1005,8 @@ class SortMergeJoin(JoinOperator):
         inner_context = context.child()
         inner_context.report_rewritten_sql = False
         inner_rows: list[Mapping[str, Any]] = []
-        for batch in iter_batches_of(
-            self.inner_path, inner_context, batch_size, None, run_reads
+        for batch in self.inner_path.iter_batches(
+            inner_context, batch_size, None, run_reads
         ):
             inner_rows.extend(batch)
         inner_keys, inner_rows = _sorted_with_keys(inner_rows, inner_columns)
@@ -1275,12 +1014,15 @@ class SortMergeJoin(JoinOperator):
 
         # The merge interior, columnar: outer groups come from groupby over
         # the sorted key vector, the matching inner run from two bisects.
-        # ``parked`` is the index of the inner row the row-at-a-time merge
-        # would have fetched and parked; the charged fetch count below
-        # reproduces its per-advance counting exactly (each fetched row
-        # counts once; discovering exhaustion counts nothing).
+        # ``parked`` is the index of the inner row the row-wise merge would
+        # have fetched and parked; the charged fetch count below reproduces
+        # its per-advance counting exactly (each fetched row counts once;
+        # discovering exhaustion counts nothing).  A group's counts land
+        # before any of its rows leave, so stopping mid-group on a demand
+        # charges what the row-wise merge charges.
         counters = context.counters
         n_inner = len(inner_rows)
+        remaining = demand
         parked = 0
         outer_consumed = 0
         position = 0
@@ -1296,36 +1038,110 @@ class SortMergeJoin(JoinOperator):
                 if parked >= n_inner:
                     # Inner exhausted mid-skip: this group is counted (as in
                     # the row merge) and the remaining outer groups are not.
-                    if out:
-                        yield _emit_batch(context, out)
-                    return
+                    break
                 if inner_keys[parked] != key:
                     continue
                 end = bisect_right(inner_keys, key, parked)
                 inner_group = inner_rows[parked:end]
                 parked = end
-                out.extend(
-                    [
-                        {**outer_row, **matched}
-                        for outer_row in outer_group
-                        for matched in inner_group
-                    ]
-                )
+                merged = [
+                    {**outer_row, **matched}
+                    for outer_row in outer_group
+                    for matched in inner_group
+                ]
+                if remaining is not None and len(merged) >= remaining:
+                    out.extend(merged[:remaining])
+                    break
+                out.extend(merged)
+                if remaining is not None:
+                    remaining -= len(merged)
                 if len(out) >= batch_size:
-                    yield _emit_batch(context, out)
+                    yield out
                     out = RowBatch()
             if out:
-                yield _emit_batch(context, out)
+                yield out
         finally:
             inner_fetched = min(parked + 1, n_inner)
             _charge_cpu(self.inner_path, outer_consumed + inner_fetched)
+
+    def _lazy_merge(
+        self,
+        context: ExecutionContext,
+        batch_size: int,
+        demand: int | None,
+        run_reads: bool,
+    ) -> Iterator[RowBatch]:
+        """The merge with a pre-sorted side streaming in key order.
+
+        A lazy side is pulled one row at a time without read-ahead: the merge
+        interleaves both sides' page reads row by row and may abandon a side
+        the moment the other is exhausted, so each lazy side must stop on its
+        exact row.  Merged rows leave after each one when this operator is
+        itself pulled without read-ahead.
+        """
+        opened: list[Generator[Mapping[str, Any], None, None]] = []
+
+        def drained_in_key_order(
+            source: RowSource, source_context: ExecutionContext, key: Any
+        ) -> list[Mapping[str, Any]]:
+            rows: list[Mapping[str, Any]] = []
+            for batch in source.iter_batches(
+                source_context, batch_size, None, run_reads
+            ):
+                rows.extend(batch)
+            rows.sort(key=key)
+            _charge_cpu(self.inner_path, _sort_cpu_tuples(len(rows)))
+            return rows
+
+        outer_rows: Iterable[Mapping[str, Any]]
+        if self.outer_sorted:
+            outer_stream = _one_at_a_time(self.source, context.child())
+            opened.append(outer_stream)
+            outer_rows = outer_stream
+        else:
+            outer_rows = drained_in_key_order(
+                self.source, context.child(), self._outer_key
+            )
+            if not outer_rows:
+                return  # nothing to merge: the inner is never read
+        inner_context = context.child()
+        inner_context.report_rewritten_sql = False
+
+        def inner_in_key_order() -> Iterator[Mapping[str, Any]]:
+            if self.inner_sorted:
+                rows = _one_at_a_time(self.inner_path, inner_context)
+                opened.append(rows)
+                return rows
+            return iter(
+                drained_in_key_order(self.inner_path, inner_context, self._inner_key)
+            )
+
+        merged = self._merge(outer_rows, inner_in_key_order, context)
+        remaining = demand
+        out = RowBatch()
+        try:
+            for row in merged:
+                out.append(row)
+                if remaining is not None:
+                    remaining -= 1
+                if len(out) >= batch_size or remaining == 0 or not run_reads:
+                    yield out
+                    out = RowBatch()
+                    if remaining == 0:
+                        return
+            if out:
+                yield out
+        finally:
+            merged.close()
+            for rows in opened:
+                rows.close()
 
     def _merge(
         self,
         outer_rows: Iterable[Mapping[str, Any]],
         inner_in_key_order: Callable[[], Iterator[Mapping[str, Any]]],
         context: ExecutionContext,
-    ) -> Iterator[dict[str, Any]]:
+    ) -> Generator[dict[str, Any], None, None]:
         from itertools import groupby
 
         sentinel = object()
@@ -1364,9 +1180,7 @@ class SortMergeJoin(JoinOperator):
                     advance()
                 for outer_row in outer_group:
                     for matched in inner_group:
-                        yield context.emit({**outer_row, **matched}, fresh=True)
-                        if context.limit_reached:
-                            return
+                        yield {**outer_row, **matched}
         finally:
             # The merge compares each consumed row once; charge that CPU.
             _charge_cpu(self.inner_path, merged_rows)

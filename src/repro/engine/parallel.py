@@ -28,7 +28,10 @@ Why the parity holds:
 Plans are not picklable (compiled predicate kernels), so nothing is ever
 pickled *into* a worker: the pool uses the ``fork`` start method and workers
 find the plan in :data:`_WORKER_STATE`, a module global set just before the
-fork.  Only the per-worker result payloads cross process boundaries.
+fork.  Only the per-worker result payloads cross process boundaries.  A
+worker that dies instead of returning (killed, ``os._exit``) breaks the pool:
+the fan-out then raises a :class:`RuntimeError` naming the partitions that
+were running, rather than waiting forever.
 
 Three fan-out shapes are recognised:
 
@@ -50,7 +53,7 @@ serial scan mid-partition, which full per-partition drains cannot reproduce
 -- **except** above a merge exchange whose children are all blocking
 Sort/TopK subtrees: the serial merge drains every child completely before
 emitting its first row anyway, so full per-partition drains are exactly the
-serial behaviour and the LIMIT only trims the parent-side re-merge.
+serial behaviour and the LIMIT only bounds the parent-side re-merge.
 
 Partition-wise join subtrees fan out the same way: each surviving partition's
 join (scan + hash/probe/merge operator) runs in one worker, with per-group
@@ -70,9 +73,12 @@ fuzzer) is unaffected.
 from __future__ import annotations
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.engine.exchange import MergeExchangeNode, prepare_plan
 from repro.engine.executor import ExecutionContext, PlanNode
@@ -110,7 +116,7 @@ class _ChildPayload:
     """Everything one worker ships back about its partition subtree."""
 
     #: Per-node counter tuples over the subtree's pre-order ``walk()``.
-    counters: list[tuple[int, int, int, int, int, int]]
+    counters: list[tuple[int, int, int, int, int]]
     #: The subtree's device group's I/O counter windows, as plain tuples in
     #: the order of ``exchange.device_groups[index]``.
     io: list[tuple[int, int, int, int, int, int, int]]
@@ -154,22 +160,7 @@ def _fanout_mode(plan: PlanNode, exchange: ExchangeNode) -> str:
     return "rows"
 
 
-def _child_rows(
-    child: PlanNode, context: ExecutionContext, batch_size: int | None
-) -> Iterator[dict[str, Any]]:
-    """One partition subtree's output rows, pulled as the serial drain would.
-
-    Live heap-page dicts flow out unchanged; callers that keep rows must
-    copy them (exactly the contract of the serial pipelines).
-    """
-    if batch_size is None:
-        yield from child.iter_rows(context)
-    else:
-        for batch in child.iter_batches(context, batch_size):
-            yield from batch
-
-
-def _extract_values(rows: Iterator[dict[str, Any]], expression: Any) -> list[Any]:
+def _extract_values(rows: Iterable[dict[str, Any]], expression: Any) -> list[Any]:
     if callable(expression):
         return [expression(row) for row in rows]
     return [row[expression] for row in rows]
@@ -183,11 +174,11 @@ def _run_child(index: int) -> _ChildPayload:
     devices = exchange.device_groups[index]
     snapshot: "Snapshot | None" = state["snapshot"]
     mode: str = state["mode"]
-    # count_output=False mirrors the child context the exchange node pulls
-    # under serially, so per-node rows_emitted matches the serial run.
-    context = ExecutionContext(snapshot=snapshot, count_output=False)
+    context = ExecutionContext(snapshot=snapshot)
     befores = [device.snapshot() for device in devices]
-    rows = _child_rows(child, context, state["batch_size"])
+    # Live heap-page dicts flow out unchanged; only the rows mode keeps
+    # rows, and it copies them.
+    rows = chain.from_iterable(child.iter_batches(context, state["batch_size"]))
 
     data: Any
     if mode == "aggregate":
@@ -233,7 +224,6 @@ def _run_child(index: int) -> _ChildPayload:
                 node.actual.rows_examined,
                 node.actual.pages_visited,
                 node.actual.lookups,
-                node.actual.rows_emitted,
                 node.actual.join_probes,
                 node.actual.rows_out,
             )
@@ -269,7 +259,6 @@ def _apply_payloads(
                 node.actual.rows_examined,
                 node.actual.pages_visited,
                 node.actual.lookups,
-                node.actual.rows_emitted,
                 node.actual.join_probes,
                 node.actual.rows_out,
             ) = counters
@@ -309,7 +298,6 @@ def _merge_aggregate(
     plan.value = value
     plan._charge_cpu(rows_in)
     plan.actual.rows_out = 1
-    plan.actual.rows_emitted = 1
     exchange.actual.rows_out = rows_in
     exchange.partitions_scanned = len(exchange.sources)
     return [{aggregate.output_name: value}]
@@ -338,10 +326,45 @@ def _merge_groups(
     plan.groups_out = len(rows)
     plan._charge_cpu(rows_in)
     plan.actual.rows_out = len(rows)
-    plan.actual.rows_emitted = len(rows)
     exchange.actual.rows_out = rows_in
     exchange.partitions_scanned = len(exchange.sources)
     return rows
+
+
+#: Per-partition progress marks in a worker's :data:`_WORKER_STATE`.
+_RUNNING, _DONE = 1, 2
+
+
+def _run_partition(index: int) -> _ChildPayload:
+    """Pool entry point: :func:`_run_child`, bracketed by progress marks."""
+    progress = _WORKER_STATE["progress"]
+    progress[index] = _RUNNING
+    payload = _run_child(index)
+    progress[index] = _DONE
+    return payload
+
+
+def _fan_out(partitions: int, workers: int) -> list[_ChildPayload]:
+    """Run every partition subtree on forked workers; payloads in order.
+
+    A worker that dies without returning breaks the pool.  That surfaces as
+    a :class:`RuntimeError` naming the partitions that were running when it
+    happened (shared progress marks, inherited by fork), instead of a hang.
+    """
+    context = multiprocessing.get_context("fork")
+    progress = context.Array("b", partitions, lock=False)
+    _WORKER_STATE["progress"] = progress
+    with ProcessPoolExecutor(min(workers, partitions), mp_context=context) as pool:
+        futures = [pool.submit(_run_partition, index) for index in range(partitions)]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            running = [str(i) for i in range(partitions) if progress[i] == _RUNNING]
+            raise RuntimeError(
+                "a parallel worker process died without returning a result "
+                f"while running partition(s) {', '.join(running) or '?'} "
+                f"of {partitions}"
+            ) from None
 
 
 def maybe_run_parallel(
@@ -367,20 +390,12 @@ def maybe_run_parallel(
     # exactly once -- at the same point of the access sequence as the serial
     # first-pull fill.  report_rewritten_sql=False mirrors the hash build
     # context the fill runs under serially.
+    batch_size = database.batch_size
     prepare_plan(
         plan,
-        ExecutionContext(
-            snapshot=context.snapshot,
-            count_output=False,
-            report_rewritten_sql=False,
-        ),
+        ExecutionContext(snapshot=context.snapshot, report_rewritten_sql=False),
+        batch_size,
     )
-    # Under a LIMIT the serial batched drain degrades the exchange's
-    # children to row-at-a-time pulls (the chunked-row fallback); the
-    # workers mirror that so per-node accounting matches bit for bit.
-    batch_size = database.batch_size
-    if find_node(plan, LimitNode) is not None:
-        batch_size = None
     _WORKER_STATE.update(
         exchange=exchange,
         snapshot=context.snapshot,
@@ -390,9 +405,7 @@ def maybe_run_parallel(
         group_columns=getattr(plan, "group_columns", ()),
     )
     try:
-        pool_context = multiprocessing.get_context("fork")
-        with pool_context.Pool(min(workers, len(exchange.sources))) as pool:
-            payloads = pool.map(_run_child, range(len(exchange.sources)))
+        payloads = _fan_out(len(exchange.sources), workers)
     finally:
         _WORKER_STATE.clear()
     _apply_payloads(exchange, payloads, context)

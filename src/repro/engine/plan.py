@@ -19,10 +19,10 @@ top, bottom-up in this order:
     requested order the planner plans the sort away entirely.
 
 ``LimitNode`` / ``ProjectNode``
-    LIMIT stops pulling from its child once the budget is spent, which
-    abandons every upstream generator mid-sweep (remaining heap pages are
-    never read); projection trims emitted rows to the requested columns
-    (residual predicates below still see whole rows).
+    LIMIT hands its budget down as the child's ``demand``: streaming nodes
+    stop on the exact row that meets it (remaining heap pages are never
+    read); projection trims emitted rows to the requested columns (residual
+    predicates below still see whole rows).
 
 NULL ordering follows PostgreSQL: NULLs sort last ascending and first
 descending.  Ties under a LIMIT resolve by input order (the sort is stable;
@@ -35,7 +35,6 @@ the planner's estimates next to the node's actual counters -- the
 
 from __future__ import annotations
 
-import heapq
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
@@ -48,8 +47,7 @@ from repro.engine.executor import (
     PlanNode,
     RowBatch,
     ScanNode,
-    _emit_batch,
-    iter_batches_of,
+    chunked,
 )
 from repro.engine.query import Aggregate
 
@@ -156,18 +154,6 @@ def _encode_sort_column(values: list[Any], ascending: bool) -> list[Any]:
     return [SortKey(value, ascending) for value in values]
 
 
-class _MaxHeapEntry:
-    """Inverts comparisons so ``heapq``'s min-heap keeps the k *smallest*."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: Any) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_MaxHeapEntry") -> bool:
-        return other.key < self.key
-
-
 def _ordering_text(ordering: Sequence[tuple[str, bool]]) -> str:
     return ", ".join(
         column if ascending else f"{column} DESC" for column, ascending in ordering
@@ -212,15 +198,9 @@ class DecoratorNode(PlanNode):
         run_reads: bool = True,
     ) -> Iterator[RowBatch]:
         """Pull batches from the child under a child context."""
-        return iter_batches_of(
-            self.source, context.child(), batch_size, demand, run_reads
+        return self.source.iter_batches(
+            context.child(), batch_size, demand, run_reads
         )
-
-    @staticmethod
-    def _chunks(rows: Sequence[dict[str, Any]], batch_size: int) -> Iterator[RowBatch]:
-        """Slice an already-materialised row list into batches."""
-        for start in range(0, len(rows), batch_size):
-            yield RowBatch(rows[start : start + batch_size])
 
 
 class SortNode(DecoratorNode):
@@ -251,15 +231,6 @@ class SortNode(DecoratorNode):
     def produces_fresh_rows(self) -> bool:  # type: ignore[override]
         return self.source_fresh
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        rows = list(self.source.iter_rows(context.child()))
-        self.rows_in = len(rows)
-        self._charge_cpu(sort_comparison_count(len(rows)))
-        rows.sort(key=sort_key_function(self.ordering))
-        fresh = self.source_fresh
-        for row in rows:
-            yield context.emit(row, fresh=fresh)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -268,21 +239,15 @@ class SortNode(DecoratorNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # Blocking: the input is drained and sorted in full whatever the
-        # consumer's demand (exactly as in the row pipeline), so demand only
-        # caps the output -- which the iter_batches wrapper enforces.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
+        # consumer's demand, so demand only caps the output -- which the
+        # iter_batches wrapper enforces.
         rows: list[dict[str, Any]] = []
         for batch in self._source_batches(context, batch_size, None, run_reads):
             rows.extend(batch)
         self.rows_in = len(rows)
         self._charge_cpu(sort_comparison_count(len(rows)))
         columnar_sort(rows, self.ordering)
-        for chunk in self._chunks(rows, batch_size):
-            yield _emit_batch(context, chunk)
+        yield from chunked(rows, batch_size)
 
     def describe_detail(self) -> str:
         return _ordering_text(self.ordering)
@@ -292,13 +257,13 @@ class SortNode(DecoratorNode):
 
 
 class TopKNode(DecoratorNode):
-    """ORDER BY + LIMIT k fused into a bounded k-heap (no full sort).
+    """ORDER BY + LIMIT k fused into a bounded top-k (no full sort).
 
-    The input streams through a max-heap of at most ``k`` entries: a row
-    enters only when it beats the current k-th best, so memory stays O(k)
-    and the comparison work is ``n log2 k`` -- while the input is still read
-    exactly once (a TopK adds zero page reads over its child).  Ties keep
-    the first-seen row, matching the stable full sort.
+    Only the best ``k`` rows seen so far are ever retained, so memory stays
+    O(k); the comparison work is charged as the ``n log2 k`` of a k-heap --
+    while the input is still read exactly once (a TopK adds zero page reads
+    over its child).  Ties keep the first-seen row, matching the stable full
+    sort.
     """
 
     name = "topk"
@@ -324,27 +289,6 @@ class TopKNode(DecoratorNode):
     def produces_fresh_rows(self) -> bool:  # type: ignore[override]
         return self.source_fresh
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self.k == 0:
-            return
-        key_of = sort_key_function(self.ordering)
-        heap: list[tuple[_MaxHeapEntry, dict[str, Any]]] = []
-        seq = 0
-        for row in self.source.iter_rows(context.child()):
-            # seq breaks key ties deterministically (first-seen wins: a tied
-            # newcomer has a larger seq, so it never displaces the holder).
-            entry_key = (key_of(row), seq)
-            seq += 1
-            if len(heap) < self.k:
-                heapq.heappush(heap, (_MaxHeapEntry(entry_key), row))
-            elif entry_key < heap[0][0].key:
-                heapq.heapreplace(heap, (_MaxHeapEntry(entry_key), row))
-        self.rows_in = seq
-        self._charge_cpu(top_k_comparison_count(seq, self.k))
-        fresh = self.source_fresh
-        for entry in sorted(heap, key=lambda item: item[0].key):
-            yield context.emit(entry[1], fresh=fresh)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -352,23 +296,16 @@ class TopKNode(DecoratorNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        # Blocking: the whole input flows through the k-heap either way.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
+        # Blocking: the whole input flows through the top-k whatever the
+        # demand.  Each batch merges with the current top-k candidates
+        # through one C-driven sort over decorated (*encoded_keys, seq, row)
+        # tuples.  The unique seq breaks key ties by arrival order (first-
+        # seen wins) and guarantees the row dicts themselves are never
+        # compared.  Key columns are re-encoded per merge
+        # (:func:`_encode_sort_column`), so mixed encodings never meet in one
+        # comparison.
         if self.k == 0:
             return
-        # Columnar top-k: instead of feeding the k-heap row by row, merge
-        # each batch with the current top-k candidates through one C-driven
-        # sort over decorated (*encoded_keys, seq, row) tuples.  The unique
-        # seq breaks key ties by arrival order -- first-seen wins, exactly
-        # the heap's tie rule -- and guarantees the row dicts themselves are
-        # never compared.  Key columns are re-encoded per merge
-        # (:func:`_encode_sort_column`), so mixed encodings never meet in
-        # one comparison.  The same rows survive as with the heap: both
-        # keep the k smallest (key, seq) pairs seen so far.
         ordering = self.ordering
         k = self.k
         top_rows: list[dict[str, Any]] = []
@@ -390,8 +327,7 @@ class TopKNode(DecoratorNode):
             top_rows = [entry[-1] for entry in decorated]
         self.rows_in = seq
         self._charge_cpu(top_k_comparison_count(seq, self.k))
-        for chunk in self._chunks(top_rows, batch_size):
-            yield _emit_batch(context, chunk)
+        yield from chunked(top_rows, batch_size)
 
     def describe_detail(self) -> str:
         return f"{_ordering_text(self.ordering)}, k={self.k}"
@@ -425,17 +361,6 @@ class AggregateNode(DecoratorNode):
         self.rows_in = 0
         self.value: Any = None
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        accumulator = self.aggregate.make_accumulator()
-        rows_in = 0
-        for row in self.source.iter_rows(context.child()):
-            accumulator.add(row)
-            rows_in += 1
-        self.rows_in = rows_in
-        self._charge_cpu(rows_in)
-        self.value = accumulator.result()
-        yield context.emit({self.aggregate.output_name: self.value}, fresh=True)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -443,11 +368,6 @@ class AggregateNode(DecoratorNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         accumulator = self.aggregate.make_accumulator()
         add_batch = accumulator.add_batch
         rows_in = 0
@@ -457,9 +377,7 @@ class AggregateNode(DecoratorNode):
         self.rows_in = rows_in
         self._charge_cpu(rows_in)
         self.value = accumulator.result()
-        yield _emit_batch(
-            context, RowBatch(({self.aggregate.output_name: self.value},))
-        )
+        yield RowBatch(({self.aggregate.output_name: self.value},))
 
     def describe_detail(self) -> str:
         return self.aggregate.output_name
@@ -492,26 +410,6 @@ class GroupByNode(DecoratorNode):
         self.rows_in = 0
         self.groups_out = 0
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        groups: dict[tuple[Any, ...], Any] = {}
-        columns = self.group_columns
-        rows_in = 0
-        for row in self.source.iter_rows(context.child()):
-            key = tuple(row[column] for column in columns)
-            accumulator = groups.get(key)
-            if accumulator is None:
-                accumulator = groups[key] = self.aggregate.make_accumulator()
-            accumulator.add(row)
-            rows_in += 1
-        self.rows_in = rows_in
-        self.groups_out = len(groups)
-        self._charge_cpu(rows_in)
-        output_name = self.aggregate.output_name
-        for key, accumulator in groups.items():
-            merged = dict(zip(columns, key))
-            merged[output_name] = accumulator.result()
-            yield context.emit(merged, fresh=True)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -521,11 +419,6 @@ class GroupByNode(DecoratorNode):
     ) -> Iterator[RowBatch]:
         # Blocking: every input row lands in an accumulator whatever the
         # demand; a LIMIT above only caps how many *group* rows leave.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         # Columnar hash aggregation: extract the whole batch's group keys
         # with one itemgetter pass, then fold them through per-kind batch
         # kernels (:class:`~repro.engine.query.GroupedAccumulators`) instead
@@ -552,22 +445,21 @@ class GroupByNode(DecoratorNode):
             merged[output_name] = value
             out.append(merged)
             if len(out) >= batch_size:
-                yield _emit_batch(context, out)
+                yield out
                 out = RowBatch()
         if out:
-            yield _emit_batch(context, out)
+            yield out
 
     def describe_detail(self) -> str:
         return f"{', '.join(self.group_columns)}: {self.aggregate.output_name}"
 
 
 class LimitNode(DecoratorNode):
-    """Stop pulling from the child once ``k`` rows have been emitted.
+    """Emit at most ``k`` rows: the origin of the executor's demand.
 
-    Closing the child generator mid-stream abandons every upstream pipeline
-    at its current yield point, so heap pages past the last consumed row are
-    never read -- the same early termination the context-level budget used
-    to provide, now owned by an explicit plan node.
+    The child is pulled with demand ``k``, so every streaming node beneath
+    stops on the exact row that meets it -- heap pages past the last needed
+    match are never read, and no row past it is examined.
     """
 
     name = "limit"
@@ -586,17 +478,6 @@ class LimitNode(DecoratorNode):
     def produces_fresh_rows(self) -> bool:  # type: ignore[override]
         return self.source_fresh
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self.k == 0:
-            return
-        produced = 0
-        fresh = self.source_fresh
-        for row in self.source.iter_rows(context.child()):
-            yield context.emit(row, fresh=fresh)
-            produced += 1
-            if produced >= self.k:
-                return
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -605,20 +486,11 @@ class LimitNode(DecoratorNode):
         run_reads: bool,
     ) -> Iterator[RowBatch]:
         # The origin of the demand budget: the child receives k (or less) as
-        # its demand.  Streaming children degrade to exact lazy production;
-        # blocking children ignore the budget, as they must.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
-        if self.k == 0:
-            return
+        # its demand.  Streaming children stop on the exact row that meets
+        # it; blocking children ignore it, as they must (their wrapper caps
+        # the output).
         child_demand = self.k if demand is None else min(self.k, demand)
-        for batch in self._source_batches(
-            context, batch_size, child_demand, run_reads
-        ):
-            yield _emit_batch(context, batch)
+        yield from self._source_batches(context, batch_size, child_demand, run_reads)
 
     def describe_detail(self) -> str:
         return str(self.k)
@@ -638,13 +510,6 @@ class ProjectNode(DecoratorNode):
         super().__init__(source, disk=disk)
         self.columns = tuple(columns)
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        columns = self.columns
-        for row in self.source.iter_rows(context.child()):
-            yield context.emit(
-                {column: row[column] for column in columns}, fresh=True
-            )
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -655,14 +520,9 @@ class ProjectNode(DecoratorNode):
         # Row-count preserving and free of I/O/charging, so a finite demand
         # forwards to the child unchanged and the projection stays a
         # C-driven list comprehension per batch.
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         columns = self.columns
         source = self.source
-        if demand is None and isinstance(source, ScanNode):
+        if demand is None and run_reads and isinstance(source, ScanNode):
             # Scan→filter→project fusion: drive the scan's access path with
             # the projection folded into its compiled per-page kernel, so no
             # intermediate full-width batch is ever materialised.  The scan
@@ -676,13 +536,10 @@ class ProjectNode(DecoratorNode):
                 scan_context = source.adopt(context.child())
                 for batch in fused(scan_context, batch_size, run_reads, columns):
                     scan_actual.rows_out += len(batch)
-                    yield _emit_batch(context, batch)
+                    yield batch
                 return
         for batch in self._source_batches(context, batch_size, demand, run_reads):
-            yield _emit_batch(
-                context,
-                RowBatch([{column: row[column] for column in columns} for row in batch]),
-            )
+            yield RowBatch([{column: row[column] for column in columns} for row in batch])
 
     def describe_detail(self) -> str:
         return ", ".join(self.columns)
@@ -781,17 +638,6 @@ class ExchangeNode(PlanNode):
         self._replay = rows
         self.partitions_scanned = len(self.sources)
 
-    def _stream(self, context: ExecutionContext) -> Iterator[dict[str, Any]]:
-        if self._replay is not None:
-            for row in self._replay:
-                yield context.emit(row, fresh=True)
-            return
-        self.partitions_scanned = 0
-        for source in self.sources:
-            self.partitions_scanned += 1
-            for row in source.iter_rows(context.child()):
-                yield context.emit(row)
-
     def _stream_batches(
         self,
         context: ExecutionContext,
@@ -799,28 +645,19 @@ class ExchangeNode(PlanNode):
         demand: int | None,
         run_reads: bool,
     ) -> Iterator[RowBatch]:
-        if context.limit is not None or context.projection is not None:
-            yield from PlanNode._stream_batches(
-                self, context, batch_size, demand, run_reads
-            )
-            return
         if self._replay is not None:
-            rows = self._replay
-            for start in range(0, len(rows), batch_size):
-                yield _emit_batch(context, RowBatch(rows[start : start + batch_size]))
+            yield from chunked(self._replay, batch_size)
             return
         self.partitions_scanned = 0
         remaining = demand
         for source in self.sources:
             self.partitions_scanned += 1
             # Each child receives the *remaining* demand, so across the
-            # concatenation exactly as many rows are produced -- and exactly
-            # as many pages swept -- as the row-at-a-time pipeline under the
-            # same LIMIT.
-            for batch in iter_batches_of(
-                source, context.child(), batch_size, remaining, run_reads
+            # concatenation the scans stop on the exact row that meets it.
+            for batch in source.iter_batches(
+                context.child(), batch_size, remaining, run_reads
             ):
-                yield _emit_batch(context, batch)
+                yield batch
                 if remaining is not None:
                     remaining -= len(batch)
             if remaining is not None and remaining <= 0:

@@ -10,6 +10,7 @@ by correlation maps and the query rewriter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import CodeType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.composite import ValueConstraint
@@ -215,6 +216,20 @@ class ExpressionPredicate(Predicate):
         return f"expr({self.attribute})"
 
 
+#: Compiled kernel code by source text.  Constants live in the evaluation
+#: namespace, not the source, so every predicate set of one shape -- e.g.
+#: the per-probe equalities a probe join binds for each outer row -- shares
+#: one compilation.
+_CODE_CACHE: dict[str, CodeType] = {}
+
+
+def _compiled(source: str) -> CodeType:
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        code = _CODE_CACHE[source] = compile(source, "<predicate-kernel>", "eval")
+    return code
+
+
 class PredicateSet:
     """A conjunction (AND) of predicates."""
 
@@ -283,7 +298,7 @@ class PredicateSet:
                 env["_columns"] = key
                 element = "{column: row[column] for column in _columns}"
             source = f"lambda rows: [{element} for row in rows{suffix}]"
-            kernel = eval(compile(source, "<batch-kernel>", "eval"), env)
+            kernel = eval(_compiled(source), env)
             self._kernels[key] = kernel
         return kernel
 
@@ -308,7 +323,7 @@ class PredicateSet:
             )
             targets = "".join(f"_v{position}, " for position in range(len(columns)))
             source = f"lambda columns: len([1 for ({targets}) in zip(*columns){suffix}])"
-            count = eval(compile(source, "<count-kernel>", "eval"), env)
+            count = eval(_compiled(source), env)
             self._count_kernel = (tuple(columns), count)
         return self._count_kernel
 

@@ -69,8 +69,8 @@ class AggregateAccumulator:
         addition per batch, value extraction runs through a C-level
         ``map``/comprehension, and ``count_distinct`` updates its set in one
         call.  Sums accumulate left to right exactly as repeated :meth:`add`
-        calls would, so floating-point results stay bit-identical between
-        the row-at-a-time and batched executors.
+        calls would, so floating-point results stay bit-identical at every
+        batch size.
         """
         aggregate = self._aggregate
         kind = aggregate.kind
@@ -114,8 +114,8 @@ class GroupedAccumulators:
     total in stream order (value-at-a-time, so floating-point results stay
     bit-identical to per-row accumulation); ``count_distinct`` grows
     per-group value sets.  Group output order is first-seen input order --
-    every kernel inserts keys into its dict in stream order, matching the
-    per-accumulator dict of the row-at-a-time path.
+    every kernel inserts keys into its dict in stream order, as a dict of
+    per-group :class:`AggregateAccumulator` objects would.
     """
 
     __slots__ = ("_aggregate", "_kind", "_counts", "_sums", "_distinct")

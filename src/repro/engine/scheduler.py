@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-from repro.engine.executor import DEFAULT_BATCH_SIZE, ExecutionContext, RowBatch
+from repro.engine.executor import ExecutionContext, RowBatch
 from repro.engine.plan import exchange_devices
 from repro.engine.query import Query, QueryResult
 from repro.engine.transactions import Snapshot, Transaction
@@ -200,8 +200,7 @@ class QueryScheduler:
         self.database = database
         self.max_concurrent = max_concurrent
         self.policy = policy
-        size = batch_size if batch_size is not None else database.batch_size
-        self.batch_size = size if size is not None else DEFAULT_BATCH_SIZE
+        self.batch_size = batch_size if batch_size is not None else database.batch_size
         self._waiting: deque[ScheduledQuery] = deque()
         self._runnable: deque[ScheduledQuery] = deque()
         self._all: list[ScheduledQuery] = []

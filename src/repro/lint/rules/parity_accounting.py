@@ -1,18 +1,18 @@
 """REPRO102: scan kernels charge counters before filtering, and only the
-two shared kernels read heap pages.
+shared kernel reads heap pages.
 
-The row-at-a-time and batch-at-a-time paths must report identical
-``rows_examined`` for the same snapshot, which only holds if every kernel
-charges the counter *before* MVCC visibility filtering and predicate
-evaluation drop rows.  The dynamic twin is the differential fuzzer
-(``tests/test_fuzz_differential.py``) plus the parity assertions in
-``tests/test_batch_parity.py``; this checker pins the two code shapes the
+Every batch size must report identical ``rows_examined`` for the same
+snapshot, which only holds if the kernel charges the counter *before* MVCC
+visibility filtering and predicate evaluation drop rows.  The dynamic twin
+is the differential fuzzer (``tests/engine/test_fuzz_parity.py``) plus the
+parity assertions in ``benchmarks/test_batch_parity.py`` and the golden
+counters of ``tests/golden.py``; this checker pins the two code shapes the
 fuzzer relies on:
 
 * ``HeapFile.read_page``/``read_pages``/``read_page_run`` may only be
-  called from the two shared kernels in ``engine/access.py``
-  (``_sweep_pages`` and ``_sweep_pages_batched``) -- every other operator
-  goes through them, so accounting lives in exactly one place per path;
+  called from the one shared kernel in ``engine/access.py``
+  (``AccessPath._sweep``) -- every other operator goes through it, so
+  accounting lives in exactly one place;
 * any function that both charges an examined counter and filters rows
   must charge first (smaller line number than the first filter call).
 """
@@ -31,8 +31,8 @@ from repro.lint.rules._common import (
 )
 from repro.lint.violations import Violation
 
-#: The only functions allowed to pull heap pages.
-SHARED_KERNELS = frozenset({"_sweep_pages", "_sweep_pages_batched"})
+#: The only function allowed to pull heap pages.
+SHARED_KERNELS = frozenset({"_sweep"})
 KERNEL_MODULE = "engine/access.py"
 
 #: Page-pulling heap APIs owned by the shared kernels.
@@ -69,7 +69,7 @@ class ParityAccountingRule(Rule):
     rule_id = "REPRO102"
     name = "parity-accounting"
     description = (
-        "heap page reads only inside the shared scan kernels, and examined "
+        "heap page reads only inside the shared scan kernel, and examined "
         "counters charged before visibility/predicate filtering"
     )
 
@@ -93,10 +93,9 @@ class ParityAccountingRule(Rule):
                             module,
                             node.lineno,
                             node.col_offset + 1,
-                            f".{name}() outside the shared scan kernels -- "
-                            "route page access through _sweep_pages / "
-                            "_sweep_pages_batched so parity accounting stays "
-                            "in one place",
+                            f".{name}() outside the shared scan kernel -- "
+                            "route page access through AccessPath._sweep so "
+                            "parity accounting stays in one place",
                         )
             charges = _charge_lines(function)
             filters = _filter_lines(function)

@@ -3,9 +3,8 @@
 The bit-identical parity contract between single-heap, partitioned-serial
 and partitioned-parallel execution (``tests/engine/test_fuzz_parity.py``)
 holds because every physical page a partitioned plan reads flows through
-the same two shared scan kernels as an unpartitioned plan
-(``_sweep_pages`` / ``_sweep_pages_batched`` in ``engine/access.py``,
-pinned by REPRO102).  The partition layer itself -- partition routing,
+the same shared scan kernel as an unpartitioned plan
+(``AccessPath._sweep`` in ``engine/access.py``, pinned by REPRO102).  The partition layer itself -- partition routing,
 pruning, the exchange fan-out and the process-parallel worker protocol --
 must therefore stay *accounting-free*: it may hand devices and child scan
 nodes around, but it may not pull heap pages or poke the buffer pool

@@ -1,13 +1,14 @@
 """Tests for the batch-at-a-time executor.
 
 The batched protocol's contract is *bit-identical simulated statistics*:
-for any query, executing through ``iter_batches`` must produce the same
-rows, the same per-node actual counters, the same I/O breakdown and the
-same simulated elapsed time as the row-at-a-time pipeline -- while doing
-far less interpreter work.  These tests pin that contract on every access
-method, every join strategy, the decorator stack, and the batch-boundary
-edge cases (LIMIT/TopK stopping mid-batch, empty batches from selective
-filters, extreme batch sizes).
+for any query, executing through ``iter_batches`` at batch size 1 (row-at-a-
+time delivery) and at the default batch size must produce the same rows, the
+same per-node actual counters, the same I/O breakdown and the same simulated
+elapsed time -- and both must reproduce the committed golden record of the
+scenario (``tests/golden.py``).  These tests pin that contract on every
+access method, every join strategy, the decorator stack, and the batch-
+boundary edge cases (LIMIT/TopK stopping mid-batch, empty batches from
+selective filters, extreme batch sizes).
 """
 
 import pytest
@@ -20,6 +21,7 @@ from repro.engine.executor import (
 from repro.engine.plan import LimitNode, SortNode
 from repro.engine.predicates import Between, Equals
 from repro.engine.query import Aggregate, Query
+from tests.golden import assert_golden
 
 
 ALL_METHODS = [
@@ -38,78 +40,82 @@ JOIN_STRATEGIES = [
 ]
 
 
-def run_both(db, query, **kwargs):
-    """Execute ``query`` row-at-a-time and batched; restore the default.
+def run_both(db, request, query, **kwargs):
+    """Execute ``query`` at batch size 1 and batched; restore the default.
 
+    Both runs must reproduce the golden entry named after the calling test.
     The disk head position is reset before each run: the classification of
     a run's *first* page read depends on wherever the previous query left
     the head, which would otherwise leak between the two runs and obscure
     the comparison.
     """
     original = db.batch_size
+    results = []
     try:
-        db.batch_size = None
-        db.reset_measurements()
-        row_result = db.run_query(query, cold_cache=True, **kwargs)
-        db.batch_size = original or DEFAULT_BATCH_SIZE
-        db.reset_measurements()
-        batched_result = db.run_query(query, cold_cache=True, **kwargs)
+        for batch_size in (1, DEFAULT_BATCH_SIZE):
+            db.batch_size = batch_size
+            db.reset_measurements()
+            result = db.run_query(query, cold_cache=True, **kwargs)
+            assert_golden(f"batched_executor/{request.node.name}", result)
+            results.append(result)
     finally:
         db.batch_size = original
-    return row_result, batched_result
+    return results
 
 
-def assert_parity(row_result, batched_result):
-    """The full parity contract between the two executors."""
-    assert batched_result.rows == row_result.rows
-    assert batched_result.value == row_result.value
-    assert batched_result.rows_matched == row_result.rows_matched
-    assert batched_result.rows_examined == row_result.rows_examined
-    assert batched_result.pages_visited == row_result.pages_visited
-    assert batched_result.join_probes == row_result.join_probes
-    assert batched_result.rows_emitted == row_result.rows_emitted
-    assert batched_result.io == row_result.io
+def assert_parity(single_result, batched_result):
+    """The full parity contract between two batch sizes."""
+    assert batched_result.rows == single_result.rows
+    assert batched_result.value == single_result.value
+    assert batched_result.rows_matched == single_result.rows_matched
+    assert batched_result.rows_examined == single_result.rows_examined
+    assert batched_result.pages_visited == single_result.pages_visited
+    assert batched_result.join_probes == single_result.join_probes
+    assert batched_result.rows_emitted == single_result.rows_emitted
+    assert batched_result.io == single_result.io
     assert batched_result.elapsed_ms == pytest.approx(
-        row_result.elapsed_ms, abs=1e-9
+        single_result.elapsed_ms, abs=1e-9
     )
     # Per-node actual counters (the EXPLAIN ANALYZE surface) match node by
     # node, not just in total.
-    row_nodes = list(row_result.plan.walk())
+    single_nodes = list(single_result.plan.walk())
     batched_nodes = list(batched_result.plan.walk())
-    assert len(row_nodes) == len(batched_nodes)
-    for row_node, batched_node in zip(row_nodes, batched_nodes):
-        assert row_node.label() == batched_node.label()
-        assert batched_node.actual.rows_out == row_node.actual.rows_out
-        assert batched_node.actual.rows_examined == row_node.actual.rows_examined
-        assert batched_node.actual.pages_visited == row_node.actual.pages_visited
-        assert batched_node.actual.lookups == row_node.actual.lookups
-        assert batched_node.actual.join_probes == row_node.actual.join_probes
+    assert len(single_nodes) == len(batched_nodes)
+    for single_node, batched_node in zip(single_nodes, batched_nodes):
+        assert single_node.label() == batched_node.label()
+        assert batched_node.actual.rows_out == single_node.actual.rows_out
+        assert batched_node.actual.rows_examined == single_node.actual.rows_examined
+        assert batched_node.actual.pages_visited == single_node.actual.pages_visited
+        assert batched_node.actual.lookups == single_node.actual.lookups
+        assert batched_node.actual.join_probes == single_node.actual.join_probes
 
 
 class TestAccessMethodParity:
     @pytest.mark.parametrize("force", ALL_METHODS)
-    def test_filtered_scan_parity(self, indexed_database, force):
+    def test_filtered_scan_parity(self, request, indexed_database, force):
         if force == "clustered_index_scan":
             query = Query.select("items", Equals("catid", 42))
         else:
             query = Query.select("items", Between("price", 1000, 2500))
-        row_result, batched_result = run_both(indexed_database, query, force=force)
-        assert row_result.rows_matched > 0
-        assert_parity(row_result, batched_result)
+        single_result, batched_result = run_both(
+            indexed_database, request, query, force=force
+        )
+        assert single_result.rows_matched > 0
+        assert_parity(single_result, batched_result)
 
-    def test_unfiltered_scan_parity(self, indexed_database):
+    def test_unfiltered_scan_parity(self, request, indexed_database):
         query = Query.select("items")
-        row_result, batched_result = run_both(indexed_database, query)
+        single_result, batched_result = run_both(indexed_database, request, query)
         assert batched_result.rows_matched == 5000
-        assert_parity(row_result, batched_result)
+        assert_parity(single_result, batched_result)
 
-    def test_projection_parity(self, indexed_database):
+    def test_projection_parity(self, request, indexed_database):
         query = Query.select(
             "items", Between("price", 1000, 2500), projection=("itemid", "price")
         )
-        row_result, batched_result = run_both(indexed_database, query)
+        single_result, batched_result = run_both(indexed_database, request, query)
         assert all(set(row) == {"itemid", "price"} for row in batched_result.rows)
-        assert_parity(row_result, batched_result)
+        assert_parity(single_result, batched_result)
 
     def test_batched_rows_are_private_copies(self, indexed_database):
         query = Query.select("items", Equals("catid", 42))
@@ -158,9 +164,9 @@ class TestDecoratorParity:
             "group_order_limit",
         ],
     )
-    def test_decorated_query_parity(self, indexed_database, query):
-        row_result, batched_result = run_both(indexed_database, query)
-        assert_parity(row_result, batched_result)
+    def test_decorated_query_parity(self, request, indexed_database, query):
+        single_result, batched_result = run_both(indexed_database, request, query)
+        assert_parity(single_result, batched_result)
 
 
 @pytest.fixture
@@ -179,58 +185,67 @@ def join_database(indexed_database, item_rows):
 
 class TestJoinParity:
     @pytest.mark.parametrize("force_join", JOIN_STRATEGIES)
-    def test_join_strategy_parity(self, join_database, force_join):
+    def test_join_strategy_parity(self, request, join_database, force_join):
         query = Query.select("items", Between("price", 1000, 2500)).join(
             "categories", on="catid"
         )
         if force_join == "index_nested_loop_join":
             join_database.cluster("categories", "catid")
-        row_result, batched_result = run_both(
-            join_database, query, force_join=force_join
+        single_result, batched_result = run_both(
+            join_database, request, query, force_join=force_join
         )
-        assert row_result.rows_matched > 0
-        assert_parity(row_result, batched_result)
+        assert single_result.rows_matched > 0
+        assert_parity(single_result, batched_result)
 
     @pytest.mark.parametrize("force_join", ["hash_join", "index_nested_loop_join"])
-    def test_join_with_limit_parity(self, join_database, force_join):
+    def test_join_with_limit_parity(self, request, join_database, force_join):
         join_database.cluster("categories", "catid")
         query = Query.select("items", Between("price", 0, 5000)).join(
             "categories", on="catid"
         )
-        row_result, batched_result = run_both(
-            join_database, query, force_join=force_join, limit=9
+        single_result, batched_result = run_both(
+            join_database, request, query, force_join=force_join, limit=9
         )
         assert batched_result.rows_matched == 9
-        assert_parity(row_result, batched_result)
+        assert_parity(single_result, batched_result)
 
-    def test_join_aggregate_parity(self, join_database):
+    def test_join_aggregate_parity(self, request, join_database):
         query = Query.select(
             "items", Between("price", 0, 5000), aggregate=Aggregate.count()
         ).join("categories", on="catid")
-        row_result, batched_result = run_both(join_database, query)
-        assert batched_result.value == row_result.value
-        assert_parity(row_result, batched_result)
+        single_result, batched_result = run_both(join_database, request, query)
+        assert batched_result.value == single_result.value
+        assert_parity(single_result, batched_result)
 
 
 class TestBatchBoundaries:
     def test_limit_stops_mid_batch_without_extra_page_reads(self, indexed_database):
-        """A LIMIT satisfied mid-batch must not read past the stopping page."""
+        """A LIMIT satisfied mid-batch reads exactly the pages up to the
+        page holding the 5th match, and examines rows only up to that match."""
         table = indexed_database.table("items")
-        query = Query.select("items", Between("price", 0, 10_000), limit=5)
-
-        indexed_database.batch_size = None
-        before = table.heap.logical_page_reads
-        indexed_database.run_query(query, force="seq_scan", cold_cache=True)
-        row_reads = table.heap.logical_page_reads - before
-
-        indexed_database.batch_size = DEFAULT_BATCH_SIZE
-        before = table.heap.logical_page_reads
-        result = indexed_database.run_query(query, force="seq_scan", cold_cache=True)
-        batched_reads = table.heap.logical_page_reads - before
-
-        assert result.rows_matched == 5
-        assert batched_reads == row_reads
-        assert batched_reads < table.num_pages
+        low, high = 0, 10_000
+        pages_needed = examined_needed = found = 0
+        for page in table.heap.pages:
+            pages_needed += 1
+            for _slot, row in page.live_rows():
+                examined_needed += 1
+                found += low <= row["price"] <= high
+                if found == 5:
+                    break
+            if found == 5:
+                break
+        query = Query.select("items", Between("price", low, high), limit=5)
+        for batch_size in (1, DEFAULT_BATCH_SIZE):
+            indexed_database.batch_size = batch_size
+            before = table.heap.logical_page_reads
+            result = indexed_database.run_query(
+                query, force="seq_scan", cold_cache=True
+            )
+            assert result.rows_matched == 5
+            assert table.heap.logical_page_reads - before == pages_needed
+            assert result.pages_visited == pages_needed
+            assert result.rows_examined == examined_needed
+        assert pages_needed < table.num_pages
 
     def test_limit_zero_reads_nothing(self, indexed_database):
         query = Query.select("items", Between("price", 0, 10_000), limit=0)
@@ -266,14 +281,14 @@ class TestBatchBoundaries:
         assert sum(len(batch) for batch in batches) == 1
 
     def test_no_match_filter_yields_nothing_but_sweeps_all_pages(
-        self, indexed_database
+        self, request, indexed_database
     ):
         query = Query.select("items", Equals("price", -1.0))
-        row_result, batched_result = run_both(
-            indexed_database, query, force="seq_scan"
+        single_result, batched_result = run_both(
+            indexed_database, request, query, force="seq_scan"
         )
         assert batched_result.rows == []
-        assert_parity(row_result, batched_result)
+        assert_parity(single_result, batched_result)
 
     @pytest.mark.parametrize("batch_size", [1, 7, 10_000])
     def test_batch_size_equivalence_on_joins_and_group_by(
@@ -322,6 +337,8 @@ class TestBatchProtocol:
 
         with pytest.raises(ValueError):
             Database(batch_size=0)
+        with pytest.raises(ValueError):
+            Database(batch_size=None)
 
     def test_demand_truncates_and_stops(self, database):
         plan = database.planner.choose(

@@ -7,7 +7,8 @@ decorate-sort-undecorate), the top-k candidate merge, the grouped
 aggregation kernels of ``GroupedAccumulators``, and the sort-merge join's
 vectorized merge.  These tests pin each kernel against its row-at-a-time
 reference -- same survivors, same order, same values (bit-identical floats)
--- including the edge cases: empty predicate sets, all-rows-filtered
+-- and whole queries against the reference evaluator of ``tests/oracle.py``
+at batch sizes 1 and up, including the edge cases: empty predicate sets, all-rows-filtered
 batches, NULLs in predicate and sort columns, and descending non-negatable
 types.
 """
@@ -33,7 +34,26 @@ from repro.engine.predicates import (
 )
 from repro.engine.query import Aggregate, Query
 
-from test_batched_executor import assert_parity, run_both
+from test_batched_executor import assert_parity
+from tests import oracle
+
+
+def run_both(db, query, tables, **kwargs):
+    """``query`` at batch size 1 and at the database's batch size; both
+    must be correct answers over ``tables`` (name -> loaded rows)
+    according to the reference evaluator."""
+    original = db.batch_size
+    results = []
+    try:
+        for batch_size in (1, original):
+            db.batch_size = batch_size
+            db.reset_measurements()
+            result = db.run_query(query, cold_cache=True, **kwargs)
+            oracle.check(query, tables, result)
+            results.append(result)
+    finally:
+        db.batch_size = original
+    return results
 
 
 def _rows_with_nulls(n=200, seed=3):
@@ -172,7 +192,7 @@ def _null_database(batch_size=DEFAULT_BATCH_SIZE):
     db = Database(buffer_pool_pages=200, batch_size=batch_size)
     db.create_table("t", sample_row=rows[0], tups_per_page=16)
     db.load("t", rows)
-    return db
+    return db, rows
 
 
 class TestEndToEndColumnarParity:
@@ -182,24 +202,24 @@ class TestEndToEndColumnarParity:
         "order_by", [("price",), ("-price",), ("name", "-price"), ("-name", "qty", "id")]
     )
     def test_order_by_with_nulls(self, order_by):
-        db = _null_database()
+        db, rows = _null_database()
         query = Query.select("t").order_by(*order_by)
-        row_result, batched_result = run_both(db, query)
-        assert_parity(row_result, batched_result)
+        single_result, batched_result = run_both(db, query, {"t": rows})
+        assert_parity(single_result, batched_result)
 
     @pytest.mark.parametrize("limit", [1, 7, 100, 1000])
     def test_top_k_with_nulls_and_duplicate_keys(self, limit):
-        db = _null_database()
+        db, rows = _null_database()
         query = Query.select("t").order_by("-price", "name").with_limit(limit)
-        row_result, batched_result = run_both(db, query)
-        assert_parity(row_result, batched_result)
+        single_result, batched_result = run_both(db, query, {"t": rows})
+        assert_parity(single_result, batched_result)
 
     @pytest.mark.parametrize("batch_size", [1, 7, DEFAULT_BATCH_SIZE])
     def test_top_k_across_batch_boundaries(self, batch_size):
-        db = _null_database(batch_size=batch_size)
+        db, rows = _null_database(batch_size=batch_size)
         query = Query.select("t").order_by("qty", "-id").with_limit(13)
-        row_result, batched_result = run_both(db, query)
-        assert_parity(row_result, batched_result)
+        single_result, batched_result = run_both(db, query, {"t": rows})
+        assert_parity(single_result, batched_result)
 
     @pytest.mark.parametrize(
         "aggregate",
@@ -222,21 +242,21 @@ class TestEndToEndColumnarParity:
         db.load("t", rows)
         for grouping in (["g"], ["g", "h"]):
             query = Query.select("t", aggregate=aggregate).group_by(*grouping)
-            row_result, batched_result = run_both(db, query)
-            assert_parity(row_result, batched_result)
-            assert batched_result.rows == row_result.rows
+            single_result, batched_result = run_both(db, query, {"t": rows})
+            assert_parity(single_result, batched_result)
+            assert batched_result.rows == single_result.rows
 
-    def test_fused_projection_over_each_scan_shape(self, indexed_database):
+    def test_fused_projection_over_each_scan_shape(self, indexed_database, item_rows):
         for force in ("seq_scan", "sorted_index_scan", "pipelined_index_scan"):
             query = Query.select(
                 "items", Between("price", 1000, 2500), projection=("itemid", "price")
             )
-            row_result, batched_result = run_both(
-                indexed_database, query, force=force
+            single_result, batched_result = run_both(
+                indexed_database, query, {"items": item_rows}, force=force
             )
-            assert row_result.rows_matched > 0
+            assert single_result.rows_matched > 0
             assert all(set(row) == {"itemid", "price"} for row in batched_result.rows)
-            assert_parity(row_result, batched_result)
+            assert_parity(single_result, batched_result)
 
 
 class TestSortMergeJoinVectorized:
@@ -253,16 +273,16 @@ class TestSortMergeJoinVectorized:
         db.load("outer_t", outer)
         db.create_table("inner_t", sample_row=inner[0], tups_per_page=16)
         db.load("inner_t", inner)
-        return db
+        return db, {"outer_t": outer, "inner_t": inner}
 
     def test_duplicate_key_cross_products(self):
-        db = self._join_db()
+        db, tables = self._join_db()
         query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
+        single_result, batched_result = run_both(
+            db, query, tables, force="seq_scan", force_join="sort_merge_join"
         )
-        assert row_result.rows_matched > 0
-        assert_parity(row_result, batched_result)
+        assert single_result.rows_matched > 0
+        assert_parity(single_result, batched_result)
 
     def test_inner_exhausted_before_outer(self):
         # All inner keys sort below the tail of the outer key range, so the
@@ -275,22 +295,23 @@ class TestSortMergeJoinVectorized:
         db.load("outer_t", outer)
         db.create_table("inner_t", sample_row=inner[0], tups_per_page=16)
         db.load("inner_t", inner)
+        tables = {"outer_t": outer, "inner_t": inner}
         query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
+        single_result, batched_result = run_both(
+            db, query, tables, force="seq_scan", force_join="sort_merge_join"
         )
-        assert_parity(row_result, batched_result)
+        assert_parity(single_result, batched_result)
 
     def test_empty_outer_never_reads_inner(self):
-        db = self._join_db()
+        db, tables = self._join_db()
         query = Query.select("outer_t", Equals("okey", -1)).join(
             "inner_t", on=("okey", "ikey")
         )
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
+        single_result, batched_result = run_both(
+            db, query, tables, force="seq_scan", force_join="sort_merge_join"
         )
-        assert row_result.rows_matched == 0
-        assert_parity(row_result, batched_result)
+        assert single_result.rows_matched == 0
+        assert_parity(single_result, batched_result)
 
     def test_null_join_keys_match_like_row_path(self):
         outer = [{"okey": None if i % 4 == 0 else i % 9, "o": i} for i in range(80)]
@@ -300,8 +321,9 @@ class TestSortMergeJoinVectorized:
         db.load("outer_t", outer)
         db.create_table("inner_t", sample_row={"ikey": 0, "i": 0}, tups_per_page=16)
         db.load("inner_t", inner)
+        tables = {"outer_t": outer, "inner_t": inner}
         query = Query.select("outer_t").join("inner_t", on=("okey", "ikey"))
-        row_result, batched_result = run_both(
-            db, query, force="seq_scan", force_join="sort_merge_join"
+        single_result, batched_result = run_both(
+            db, query, tables, force="seq_scan", force_join="sort_merge_join"
         )
-        assert_parity(row_result, batched_result)
+        assert_parity(single_result, batched_result)

@@ -3,7 +3,8 @@ projection, and the Database.run_query / stream entry points."""
 
 import pytest
 
-from repro.engine.executor import ExecutionContext
+from repro.engine.executor import ExecutionContext, RowBatch, ScanNode
+from repro.engine.plan import LimitNode, ProjectNode
 from repro.engine.predicates import Between, Equals, PredicateSet
 from repro.engine.query import Aggregate, Query
 
@@ -24,21 +25,23 @@ class TestIterRows:
         else:
             query = Query.select("items", Between("price", 1000, 1100))
         path = planned_path(indexed_database, query, force)
-        streamed = sorted(r["itemid"] for r in path.iter_rows())
-        path2 = planned_path(indexed_database, query, force)
-        materialised = sorted(r["itemid"] for r in path2.execute().rows)
-        assert streamed == materialised
+        streamed = sorted(r["itemid"] for r in ScanNode(path).iter_rows())
+        executed = indexed_database.run_query(query, force=force)
+        assert streamed == sorted(r["itemid"] for r in executed.rows)
         assert streamed
 
     def test_execute_counters_match_context(self, indexed_database):
+        # A bare access path charges the context it runs under; executing
+        # the same plan through the database reports the same counters.
         query = Query.select("items", Between("price", 1000, 1100))
         path = planned_path(indexed_database, query, "sorted_index_scan")
         context = ExecutionContext()
-        result = path.execute(context)
-        assert result.rows_examined == context.counters.rows_examined
-        assert result.pages_visited == context.counters.pages_visited
-        assert result.lookups == context.counters.lookups
-        assert context.counters.rows_emitted == len(result.rows)
+        rows = [row for batch in path.iter_batches(context) for row in batch]
+        result = indexed_database.run_query(query, force="sorted_index_scan")
+        assert len(rows) == result.rows_matched > 0
+        assert context.counters.rows_examined == result.rows_examined
+        assert context.counters.pages_visited == result.pages_visited
+        assert context.counters.lookups > 0
 
 
 class TestLimit:
@@ -146,19 +149,63 @@ class TestStream:
         window = db.disk.window_since(before)
         assert window.cpu_tuples >= 3
 
+    def test_abandoned_stream_charges_exactly_through_last_row(
+        self, indexed_database
+    ):
+        # Stopping after the 3rd match examines (and charges CPU for) the
+        # rows up to that match and no further, like a LIMIT 3 would.
+        db = indexed_database
+        predicate = Between("price", 0, 20_000)
+        heap_order = [
+            row for page in db.table("items").heap.pages for row in page.slots
+            if row is not None
+        ]
+        matches = [i for i, row in enumerate(heap_order) if predicate.matches(row)]
+        through_third = matches[2] + 1
+        query = Query.select("items", predicate)
+        node = ScanNode(planned_path(db, query, "seq_scan"))
+        before = db.disk.snapshot()
+        rows = node.iter_rows()
+        for _ in range(3):
+            next(rows)
+        rows.close()
+        assert node.actual.rows_examined == through_third
+        assert db.disk.window_since(before).cpu_tuples == through_third
+        limited = db.run_query(query, force="seq_scan", limit=3)
+        assert limited.rows_examined == through_third
+
     def test_stream_rejects_aggregates(self, indexed_database):
         query = Query.select("items", Equals("catid", 1), aggregate=Aggregate.count())
         with pytest.raises(ValueError):
             indexed_database.stream(query)
 
 
+class _Rows(ScanNode):
+    """A leaf emitting fixed rows (no table behind it)."""
+
+    def __init__(self, rows):
+        super().__init__(path=None)
+        self.rows = rows
+
+    @property
+    def name(self):
+        return "rows"
+
+    def _stream_batches(self, context, batch_size, demand, run_reads):
+        yield RowBatch(self.rows)
+
+
 class TestContext:
     def test_negative_limit_rejected(self):
         with pytest.raises(ValueError):
-            ExecutionContext(limit=-1)
+            LimitNode(_Rows([]), -1)
+        with pytest.raises(ValueError):
+            Query.select("items", limit=-1)
 
     def test_emit_counts_and_projects(self):
-        context = ExecutionContext(projection=("a",))
-        row = context.emit({"a": 1, "b": 2})
-        assert row == {"a": 1}
-        assert context.counters.rows_emitted == 1
+        # Projection and LIMIT are plan nodes: each counts what it emits.
+        source = _Rows([{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        limit = LimitNode(source, 1)
+        project = ProjectNode(limit, ("a",))
+        assert list(project.iter_rows(ExecutionContext())) == [{"a": 1}]
+        assert project.actual.rows_out == limit.actual.rows_out == 1

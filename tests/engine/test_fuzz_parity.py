@@ -1,13 +1,22 @@
-"""Differential fuzzer: batched execution must be bit-identical to row-at-a-time.
+"""Differential fuzzer: every batch size gives the same, correct answer.
 
 Each seed derives one random query -- conjunctive predicates, an optional
 equi-join, one of three output shapes (plain rows with projection / ORDER BY /
-LIMIT, a scalar aggregate, or a grouped aggregate) -- and executes it under
-row-at-a-time mode (``batch_size=None``) and several batch sizes between 1
-and 4096.  Every mode must produce identical rows (same order), the same
-aggregate value, and *bit-identical* simulated counters: rows examined,
-pages visited, join probes, the full I/O breakdown and the simulated elapsed
-time.  This is the engine's central parity contract (see
+LIMIT, a scalar aggregate, or a grouped aggregate) -- and executes it at batch
+size 1 (row-at-a-time delivery) and several batch sizes up to 4096.  Three
+independent checks apply:
+
+* every batch size must produce identical rows (same order), the same
+  aggregate value and *bit-identical* simulated counters: rows examined,
+  pages visited, join probes, the full I/O breakdown and the simulated
+  elapsed time;
+* the rows and value must be a correct answer according to the reference
+  evaluator of ``tests/oracle.py``, which shares no code with the engine;
+* for the CI corpus (seeds below :data:`tests.golden.GOLDEN_FUZZ_SEEDS`) the
+  counters, per-node actuals and a digest of the rows must reproduce the
+  committed golden fixture (``tests/golden.py``).
+
+This is the engine's central parity contract (see
 ``benchmarks/test_batch_parity.py`` for the curated Figure 1 scenarios); the
 fuzzer guards the long tail of shape combinations no curated test enumerates.
 
@@ -26,6 +35,8 @@ from repro.engine.database import Database
 from repro.engine.partition import PartitionSpec
 from repro.engine.predicates import Between, Equals, InSet
 from repro.engine.query import Aggregate, Query
+from tests import oracle
+from tests.golden import GOLDEN_FUZZ_SEEDS, assert_golden
 
 #: Batch sizes the fuzzer samples from -- degenerate (1-row batches), odd
 #: (never page-aligned), the default-ish, and larger-than-the-table.
@@ -75,6 +86,18 @@ def build_cat_rows():
         {"catid": c, "label": f"cat{c}", "region": f"r{c % 5}"}
         for c in range(NUM_CATEGORIES)
     ]
+
+
+@pytest.fixture(scope="module")
+def oracle_tables():
+    """The fuzz tables as plain row lists, for the reference evaluator."""
+    cat_rows = build_cat_rows()
+    return {"items": build_fuzz_rows(), "cats": cat_rows, "catsf": cat_rows}
+
+
+def modes_of(batch_sizes):
+    """Batch size 1 (the reference) followed by the sampled sizes."""
+    return [1] + [size for size in batch_sizes if size != 1]
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +214,25 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("fuzz_seed", range(iterations))
 
 
-def test_fuzz_batch_parity(fuzz_database, fuzz_seed):
+def test_fuzz_batch_parity(fuzz_database, oracle_tables, fuzz_seed):
     db = fuzz_database
     query, force, batch_sizes = generate_query(fuzz_seed)
     original = db.batch_size
     try:
-        reference = run_mode(db, query, None, force)
-        for batch_size in batch_sizes:
-            candidate = run_mode(db, query, batch_size, force)
-            assert_bit_identical(
-                reference,
-                candidate,
-                context=(
-                    f"seed={fuzz_seed} batch_size={batch_size} "
-                    f"force={force} query={query.describe()}"
-                ),
+        reference = None
+        for batch_size in modes_of(batch_sizes):
+            result = run_mode(db, query, batch_size, force)
+            context = (
+                f"seed={fuzz_seed} batch_size={batch_size} "
+                f"force={force} query={query.describe()}"
             )
+            if reference is None:
+                reference = result
+                oracle.check(query, oracle_tables, result)
+            else:
+                assert_bit_identical(reference, result, context=context)
+            if fuzz_seed < GOLDEN_FUZZ_SEEDS:
+                assert_golden(f"fuzz/flat/{fuzz_seed}", result)
     finally:
         db.batch_size = original
 
@@ -421,26 +447,37 @@ def run_partitioned(db, query, batch_size, *, parallel=None):
     return db.run_query(query, cold_cache=True, parallel=parallel)
 
 
-def test_fuzz_partition_parity(fuzz_database, partitioned_databases, fuzz_seed):
+def test_fuzz_partition_parity(
+    fuzz_database, partitioned_databases, oracle_tables, fuzz_seed
+):
     query, label, batch_sizes, workers = generate_partition_query(fuzz_seed)
     flat = fuzz_database
     part = partitioned_databases[label]
+    golden = fuzz_seed < GOLDEN_FUZZ_SEEDS
+    key = f"fuzz/part/{fuzz_seed}"
     flat_original, part_original = flat.batch_size, part.batch_size
     try:
-        flat_reference = run_mode(flat, query, None, None)
-        reference = run_partitioned(part, query, None)
+        modes = modes_of(batch_sizes)
+        flat_reference = run_mode(flat, query, modes[0], None)
+        reference = run_partitioned(part, query, modes[0])
         context = (
             f"seed={fuzz_seed} layout={label} workers={workers} "
             f"query={query.describe()}"
         )
         assert_layouts_equivalent(flat_reference, reference, context=context)
-        for batch_size in batch_sizes:
+        oracle.check(query, oracle_tables, reference)
+        if golden:
+            assert_golden(f"{key}/flat", flat_reference)
+            assert_golden(key, reference)
+        for batch_size in modes[1:]:
             candidate = run_partitioned(part, query, batch_size)
             assert_modes_identical(
                 reference, candidate, context=f"{context} batch_size={batch_size}"
             )
+            if golden:
+                assert_golden(key, candidate)
         if workers is not None:
-            for batch_size in (None, batch_sizes[0]):
+            for batch_size in modes[:2]:
                 candidate = run_partitioned(
                     part, query, batch_size, parallel=workers
                 )
@@ -449,6 +486,8 @@ def test_fuzz_partition_parity(fuzz_database, partitioned_databases, fuzz_seed):
                     candidate,
                     context=f"{context} parallel batch_size={batch_size}",
                 )
+                if golden:
+                    assert_golden(key, candidate, rows=False)
     finally:
         flat.batch_size = flat_original
         part.batch_size = part_original

@@ -368,8 +368,14 @@ class TestExecutionParity:
     @pytest.mark.parametrize("query", PARITY_QUERIES, ids=lambda q: q.name)
     def test_batched_matches_serial(self, query):
         db = build_database(PartitionSpec.by_hash("catid", 4))
-        reference = run_cold(db, query, batch_size=None)
-        for batch_size in (1, 7, 256):
+        reference = run_cold(db, query, batch_size=1)
+        # Nothing prunes: every partition page and every row is read once.
+        table = db.table("items")
+        assert reference.rows_examined == len(build_rows())
+        assert reference.pages_visited == sum(
+            partition.num_pages for partition in table.partitions
+        )
+        for batch_size in (7, 256):
             candidate = run_cold(db, query, batch_size=batch_size)
             assert_identical_stats(
                 reference, candidate, context=f"{query.name} batch={batch_size}"
@@ -430,3 +436,83 @@ class TestExecutionParity:
         assert not parallel_supported(pinned)
         full = db._prepare(Query.select("items"), **overrides)
         assert parallel_supported(full)
+
+
+# ---------------------------------------------------------------------------
+# Fault injection: a worker that dies instead of returning
+# ---------------------------------------------------------------------------
+
+#: Run in a child interpreter, so a regression (a hang) is bounded by the
+#: subprocess timeout rather than stalling the suite.  Partition 1's worker
+#: exits without returning; the fan-out must fail loudly, and the same
+#: database must then answer correctly both serially and in parallel.
+DYING_WORKER_SCRIPT = """
+import os
+
+from repro.engine import parallel
+from repro.engine.database import Database
+from repro.engine.partition import PartitionSpec
+from repro.engine.query import Aggregate, Query
+from tests.engine.test_partition import build_rows
+
+rows = build_rows()
+db = Database(buffer_pool_pages=200)
+db.create_table(
+    "items", sample_row=rows[0], tups_per_page=40,
+    partition_by=PartitionSpec.by_hash("catid", 4),
+)
+db.load("items", rows)
+query = Query.select("items", aggregate=Aggregate.sum("qty"))
+original = parallel._run_child
+
+
+def dying_child(index):
+    if index == 1:
+        os._exit(3)
+    return original(index)
+
+
+parallel._run_child = dying_child
+try:
+    db.run_query(query, parallel=2)
+except RuntimeError as exc:
+    print("raised:", exc)
+parallel._run_child = original
+print("state clean:", parallel._WORKER_STATE == {})
+expected = sum(row["qty"] for row in rows)
+serial = db.run_query(query, cold_cache=True)
+fanned = db.run_query(query, cold_cache=True, parallel=2)
+print("serial ok:", serial.value == expected)
+print("parallel ok:", fanned.value == expected, fanned.io == serial.io)
+"""
+
+
+@pytest.mark.skipif(not FORK_AVAILABLE, reason="fork start method unavailable")
+def test_dying_worker_raises_instead_of_hanging():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", DYING_WORKER_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = completed.stdout.splitlines()
+    assert lines[0].startswith("raised:"), lines
+    running = lines[0].split("running partition(s) ")[1].split(" of ")[0]
+    assert "1" in running.split(", "), lines
+    assert lines[1:] == [
+        "state clean: True",
+        "serial ok: True",
+        "parallel ok: True True",
+    ]

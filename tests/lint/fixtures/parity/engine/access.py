@@ -1,7 +1,7 @@
 """Good fixture: the shared-kernel shape (charge before filter)."""
 
 
-def _sweep_pages(heap, predicates, counters, visible):
+def _sweep(heap, predicates, counters, visible):
     for page in heap.read_pages(range(heap.num_pages)):  # allowed here
         for row in page.rows:
             counters.rows_examined += 1  # charged first

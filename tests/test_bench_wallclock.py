@@ -11,6 +11,7 @@ from repro.bench.wallclock import (
     REPORT_SCHEMA,
     BenchConfig,
     build_report,
+    floor_failures,
     format_results,
     run_benchmarks,
     write_report,
@@ -41,7 +42,8 @@ def test_every_scenario_passes_parity_at_tiny_scale(tiny_results):
     for result in tiny_results:
         assert result.parity_ok, result.name
         assert result.rows_matched > 0 or result.name == "top_k"
-        assert result.row_seconds > 0 and result.batched_seconds > 0
+        assert result.seconds > 0
+        assert result.rows_per_s == result.rows_examined / result.seconds
 
 
 def test_report_structure_and_round_trip(tiny_results, tmp_path):
@@ -53,22 +55,31 @@ def test_report_structure_and_round_trip(tiny_results, tmp_path):
     assert set(on_disk["scenarios"]) == {r.name for r in tiny_results}
     summary = on_disk["summary"]
     assert summary["parity_ok"] is True
-    assert summary["min_speedup"] is not None
-    assert set(summary["flagship_speedups"]) <= {
-        "full_scan_aggregate",
-        "unindexed_join",
-    }
+    assert set(summary["rows_per_s"]) == {r.name for r in tiny_results}
+    assert on_disk["cpu_count"] >= 1
     for payload in on_disk["scenarios"].values():
         assert {
             "name",
             "rows_matched",
+            "rows_examined",
             "pages_visited",
             "simulated_ms",
-            "row_seconds",
-            "batched_seconds",
-            "speedup",
+            "seconds",
+            "rows_per_s",
             "parity_ok",
         } <= set(payload)
+
+
+def test_floor_failures_gate_each_scenario(tiny_results):
+    report = build_report(tiny_results, TINY)
+    assert floor_failures(tiny_results, report, 0.5) == {}
+    inflated = json.loads(json.dumps(report))
+    inflated["summary"]["rows_per_s"]["group_by"] *= 1e6
+    failures = floor_failures(tiny_results, inflated, 0.5)
+    assert list(failures) == ["group_by"]
+    assert failures["group_by"].startswith("group_by:")
+    with pytest.raises(ValueError, match="schema"):
+        floor_failures(tiny_results, {"schema": "repro-bench-exec/v1"}, 0.5)
 
 
 def test_format_results_renders_one_line_per_scenario(tiny_results):
@@ -127,9 +138,18 @@ def _run_cli(args, tmp_path):
     )
 
 
+def _committed(rows_per_s):
+    return json.dumps(
+        {
+            "schema": REPORT_SCHEMA,
+            "summary": {"rows_per_s": {"full_scan_aggregate": rows_per_s}},
+        }
+    )
+
+
 def test_cli_floor_check_passes_against_a_low_committed_floor(tmp_path):
     committed = tmp_path / "committed.json"
-    committed.write_text(json.dumps({"summary": {"min_speedup": 0.01}}))
+    committed.write_text(_committed(1))
     completed = _run_cli(["--check-floor", str(committed)], tmp_path)
     assert completed.returncode == 0, completed.stderr
     assert "floor check ok" in completed.stdout
@@ -138,16 +158,16 @@ def test_cli_floor_check_passes_against_a_low_committed_floor(tmp_path):
 def test_cli_floor_check_fails_on_regression(tmp_path):
     """An absurdly high committed floor must make the CLI exit non-zero."""
     committed = tmp_path / "committed.json"
-    committed.write_text(json.dumps({"summary": {"min_speedup": 1e9}}))
+    committed.write_text(_committed(1e12))
     completed = _run_cli(["--check-floor", str(committed)], tmp_path)
     assert completed.returncode == 1
-    assert "regressed below" in completed.stderr
+    assert "throughput regressed" in completed.stderr
 
 
 def test_cli_floor_check_reads_floor_before_overwriting(tmp_path):
     """--check-floor FILE with --output FILE: the floor is the *old* file's."""
     shared = tmp_path / "BENCH_exec.json"
-    shared.write_text(json.dumps({"summary": {"min_speedup": 1e9}}))
+    shared.write_text(_committed(1e12))
     repo_root = Path(__file__).resolve().parent.parent
     completed = subprocess.run(
         [
@@ -169,4 +189,4 @@ def test_cli_floor_check_reads_floor_before_overwriting(tmp_path):
         timeout=300,
     )
     assert completed.returncode == 1, "floor must come from the pre-run file"
-    assert "regressed below" in completed.stderr
+    assert "throughput regressed" in completed.stderr
